@@ -6,13 +6,16 @@ and the bound takes the best ordering.  Averaging over D with the exact
 distinct-set probabilities and minimizing over feasible placements gives three
 linear programs:
 
-* ``lower_bound_p1`` -- any uncoded placement; the max over orderings is
-  linearized with one epigraph variable per distinct set and one constraint
-  per ordering (all |D|! of them are enumerated).
-* ``lower_bound_p2`` -- placements restricted to popularity-first order, where
-  the best ordering is popularity order and no epigraph is needed.
+* ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
+  over orderings is linearized with one epigraph variable per distinct set and
+  one constraint per ordering (all |D|! of them are enumerated).
+* ``lower_bound_p2`` -- placements of unit-size files restricted to
+  popularity-first order, where the best ordering is popularity order and no
+  epigraph is needed.
 * ``lower_bound_p5`` -- the P1 program with per-file sizes on the partition
   constraint; placement entries and the cache budget are in bits.
+
+P1 and P2 reject nonuniform sizes rather than silently solving P5's program.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from . import lp
 from .lp import LpProblem, SizeGuardError
 from .model import (
     DistinctSet,
@@ -33,9 +35,9 @@ from .model import (
     PlacementLike,
     as_matrix,
     binom,
-    cache_coefficients,
     is_popularity_first,
-    partition_coefficients,
+    placement_program,
+    solve_placement,
 )
 
 MAX_PERMUTATION_ROWS = 60_000
@@ -118,13 +120,8 @@ class BoundResult:
     iterations: int = 0
 
 
-def _clean_matrix(x: np.ndarray, inst: Instance) -> np.ndarray:
-    m = x[: inst.n_files * (inst.n_users + 1)].reshape(inst.n_files, inst.n_users + 1)
-    return np.where((m < 0) & (m > -1e-9), 0.0, m)
-
-
-def _epigraph_problem(inst: Instance, rhs_sizes: np.ndarray) -> tuple[LpProblem, list[tuple[int, ...]]]:
-    """The epigraph LP shared by the general and per-size bounds."""
+def _epigraph_problem(inst: Instance) -> LpProblem:
+    """The P1/P5 epigraph LP: t_D >= the rate of every ordering of D."""
     n, k = inst.n_files, inst.n_users
     n_a = n * (k + 1)
     dsets = list(enumerate_distinct_sets(inst))
@@ -132,56 +129,37 @@ def _epigraph_problem(inst: Instance, rhs_sizes: np.ndarray) -> tuple[LpProblem,
     if n_rows > MAX_PERMUTATION_ROWS:
         raise SizeGuardError(
             f"{n_rows} ordering constraints exceed the {MAX_PERMUTATION_ROWS}-row guard")
-    n_vars = n_a + len(dsets)
-
-    c = np.zeros(n_vars)
+    c = np.zeros(n_a + len(dsets))
+    lhs = np.zeros((n_rows, n_a))
+    owner = np.zeros(n_rows, dtype=int)
+    r = 0
     for j, d in enumerate(dsets):
         c[n_a + j] = distinct_set_probability(inst, d)
-
-    eq = np.zeros((n, n_vars))
-    b_part = partition_coefficients(k)
-    for fi in range(n):
-        eq[fi, fi * (k + 1):(fi + 1) * (k + 1)] = b_part
-    eq_rhs = rhs_sizes.astype(float)
-
-    rows = np.zeros((n_rows + 1, n_vars))
-    rhs = np.zeros(n_rows + 1)
-    cache = cache_coefficients(k)
-    for fi in range(n):
-        rows[0, fi * (k + 1):(fi + 1) * (k + 1)] = cache
-    rhs[0] = inst.cache_size
-
-    r = 1
-    for j, d in enumerate(dsets):
         w = _position_weights(k, len(d))
         for perm in permutations(d):
             for pos, f in enumerate(perm):
-                rows[r, (f - 1) * (k + 1):(f - 1) * (k + 1) + k] = w[pos]
-            rows[r, n_a + j] = -1.0
+                lhs[r, (f - 1) * (k + 1):(f - 1) * (k + 1) + k] = w[pos]
+            owner[r] = j
             r += 1
-
-    problem = LpProblem(objective=c, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=rows, ub_rhs=rhs)
-    return problem, dsets
+    return placement_program(inst, c, (lhs, owner))
 
 
-def _solve_bound(problem: LpProblem, inst: Instance, which: str) -> BoundResult:
-    sol = lp.solve_via_dual(problem)
-    if not sol.optimal:
-        raise RuntimeError(f"bound program {which} reported {sol.status}; this is a bug")
-    matrix = _clean_matrix(sol.x, inst)
-    return BoundResult(float(sol.value), Placement(matrix, inst), which, sol.iterations)
+def _require_uniform(inst: Instance, which: str):
+    if not inst.uniform_sizes:
+        raise ValueError(f"bound {which} assumes uniform file sizes; use lower_bound_p5")
 
 
 def lower_bound_p1(inst: Instance) -> BoundResult:
     """General uncoded-placement lower bound on the average rate."""
-    problem, _ = _epigraph_problem(inst, np.ones(inst.n_files))
-    return _solve_bound(problem, inst, "P1")
+    _require_uniform(inst, "P1")
+    value, placement, iterations = solve_placement(_epigraph_problem(inst), inst)
+    return BoundResult(value, placement, "P1", iterations)
 
 
 def lower_bound_p5(inst: Instance) -> BoundResult:
     """The general bound with nonuniform file sizes (everything in bits)."""
-    problem, _ = _epigraph_problem(inst, inst.file_sizes)
-    return _solve_bound(problem, inst, "P5")
+    value, placement, iterations = solve_placement(_epigraph_problem(inst), inst)
+    return BoundResult(value, placement, "P5", iterations)
 
 
 def p2_objective(inst: Instance) -> np.ndarray:
@@ -202,36 +180,10 @@ def p2_objective(inst: Instance) -> np.ndarray:
 
 def lower_bound_p2(inst: Instance) -> BoundResult:
     """Lower bound restricted to popularity-first placements (plain LP)."""
-    n, k = inst.n_files, inst.n_users
-    n_vars = n * (k + 1)
-    c = p2_objective(inst).ravel()
-
-    eq = np.zeros((n, n_vars))
-    b_part = partition_coefficients(k)
-    for fi in range(n):
-        eq[fi, fi * (k + 1):(fi + 1) * (k + 1)] = b_part
-    eq_rhs = np.ones(n)
-
-    n_chain = (n - 1) * k
-    rows = np.zeros((1 + n_chain, n_vars))
-    rhs = np.zeros(1 + n_chain)
-    cache = cache_coefficients(k)
-    for fi in range(n):
-        rows[0, fi * (k + 1):(fi + 1) * (k + 1)] = cache
-    rhs[0] = inst.cache_size
-    r = 1
-    for fi in range(n - 1):
-        for l in range(1, k + 1):
-            rows[r, fi * (k + 1) + l] = -1.0
-            rows[r, (fi + 1) * (k + 1) + l] = 1.0
-            r += 1
-
-    problem = LpProblem(objective=c, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=rows, ub_rhs=rhs)
-    sol = lp.solve(problem)
-    if not sol.optimal:
-        raise RuntimeError(f"bound program P2 reported {sol.status}; this is a bug")
-    matrix = _clean_matrix(sol.x, inst)
-    return BoundResult(float(sol.value), Placement(matrix, inst), "P2", sol.iterations)
+    _require_uniform(inst, "P2")
+    problem = placement_program(inst, p2_objective(inst).ravel(), ordered=True)
+    value, placement, iterations = solve_placement(problem, inst)
+    return BoundResult(value, placement, "P2", iterations)
 
 
 def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> float:

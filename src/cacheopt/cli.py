@@ -191,7 +191,7 @@ def cmd_sweep(args) -> int:
     grid = np.arange(args.start, args.stop + args.step / 2, args.step)
     if grid.size == 0:
         raise ValueError("sweep grid is empty")
-    default = _SWEEP_UNIFORM if inst.uniform_sizes else _SWEEP_UNIFORM + _SWEEP_SIZED
+    default = _SWEEP_UNIFORM if inst.uniform_sizes else _SWEEP_SIZED
     outputs = tuple(args.outputs.split(",")) if args.outputs else default
     known = set(_SWEEP_UNIFORM + _SWEEP_SIZED)
     for name in outputs:

@@ -10,7 +10,6 @@ after which Bland's rule guarantees termination.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,9 @@ class SizeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective @ x  s.t.  eq_lhs x = eq_rhs, ub_lhs x <= ub_rhs, x >= lower_bounds.
+    """min objective @ x  s.t.  eq_lhs x = eq_rhs, ub_lhs x <= ub_rhs, x >= 0.
 
-    Empty constraint blocks are passed as None.  ``lower_bounds`` defaults to
-    zero for every variable.
+    Empty constraint blocks are passed as None.
     """
 
     objective: np.ndarray
@@ -38,8 +36,6 @@ class LpProblem:
     eq_rhs: np.ndarray | None = None
     ub_lhs: np.ndarray | None = None
     ub_rhs: np.ndarray | None = None
-    lower_bounds: np.ndarray | None = None
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -57,15 +53,7 @@ class LpProblem:
                 raise ValueError(f"{lhs_name} has shape {lhs.shape}, expected ({rhs.shape[0]}, {n})")
             object.__setattr__(self, lhs_name, lhs)
             object.__setattr__(self, rhs_name, rhs)
-        if self.lower_bounds is not None:
-            lb = np.asarray(self.lower_bounds, dtype=float).ravel()
-            if lb.shape[0] != n:
-                raise ValueError("lower_bounds length mismatch")
-            object.__setattr__(self, "lower_bounds", lb)
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("names length mismatch")
-        for arr in (self.objective, self.eq_lhs, self.eq_rhs, self.ub_lhs,
-                    self.ub_rhs, self.lower_bounds):
+        for arr in (self.objective, self.eq_lhs, self.eq_rhs, self.ub_lhs, self.ub_rhs):
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite coefficient in problem")
 
@@ -193,19 +181,10 @@ def solve(problem: LpProblem) -> LpSolution:
     """
     n = problem.n_vars
     c = problem.objective.copy()
-
-    shift = None
-    if problem.lower_bounds is not None and np.any(problem.lower_bounds != 0.0):
-        shift = problem.lower_bounds
-
     a_eq = problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n))
     b_eq = problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0)
     a_ub = problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n))
     b_ub = problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0)
-
-    if shift is not None:
-        b_eq = b_eq - a_eq @ shift
-        b_ub = b_ub - a_ub @ shift
 
     a_ub, b_ub, ub_keep = _dedupe_rows(a_ub, b_ub)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
@@ -284,8 +263,6 @@ def solve(problem: LpProblem) -> LpSolution:
         if j < n_total:
             x[j] = tab.T[r, -1]
     xvars = x[:n]
-    if shift is not None:
-        xvars = xvars + shift
     value = float(problem.objective @ xvars)
 
     duals_eq, duals_ub = _recover_duals(
@@ -324,9 +301,6 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
     variable; its constraint prices recover a primal optimum.  Falls back to
     the direct solve if the recovered point fails a feasibility check.
     """
-    if problem.lower_bounds is not None and np.any(problem.lower_bounds != 0.0):
-        return solve(problem)
-
     n = problem.n_vars
     a_eq = problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n))
     b_eq = problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0)
@@ -362,31 +336,3 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
     duals_eq = z[:m_eq] - z[m_eq:2 * m_eq] if m_eq else None
     duals_ub = -z[2 * m_eq:] if m_ub else None
     return LpSolution("optimal", x, value, sol.iterations, duals_eq, duals_ub)
-
-
-def dump(problem: LpProblem) -> str:
-    """Human-readable text layout of a problem, for debugging only."""
-    names = problem.names or tuple(f"x{j}" for j in range(problem.n_vars))
-
-    def term(coef, j):
-        return f"{coef:+g} {names[j]}"
-
-    def row(coefs):
-        parts = [term(v, j) for j, v in enumerate(coefs) if v != 0.0]
-        return " ".join(parts) if parts else "0"
-
-    out = io.StringIO()
-    out.write("minimize\n  " + row(problem.objective) + "\n")
-    out.write("subject to\n")
-    if problem.eq_lhs is not None:
-        for lhs, rhs in zip(problem.eq_lhs, problem.eq_rhs):
-            out.write(f"  {row(lhs)} = {rhs:g}\n")
-    if problem.ub_lhs is not None:
-        for lhs, rhs in zip(problem.ub_lhs, problem.ub_rhs):
-            out.write(f"  {row(lhs)} <= {rhs:g}\n")
-    lb = problem.lower_bounds
-    if lb is None:
-        out.write("  x >= 0\n")
-    else:
-        out.write("  x >= [" + ", ".join(f"{v:g}" for v in lb) + "]\n")
-    return out.getvalue()

@@ -17,6 +17,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import lp
+from .lp import LpProblem
+
 FEAS_TOL = 1e-9
 ENTRY_TOL = 1e-12
 
@@ -283,6 +286,61 @@ def partition_coefficients(n_users: int) -> np.ndarray:
 def cache_coefficients(n_users: int) -> np.ndarray:
     """c_l = C(K-1, l-1): subfiles of level l stored by one user."""
     return np.array([binom(n_users - 1, l - 1) for l in range(n_users + 1)], dtype=float)
+
+
+def placement_program(inst: Instance, objective: np.ndarray,
+                      epigraph: tuple[np.ndarray, np.ndarray] | None = None,
+                      *, exact_cache: bool = False, ordered: bool = False) -> LpProblem:
+    """The placement polytope as an LP over x = [a (row by row) | t].
+
+    Rows come in a fixed order: one partition equality per file with its size
+    on the right, the per-user cache row (an equality when ``exact_cache``),
+    the popularity-first chain a_{n+1,l} - a_{n,l} <= 0 for l >= 1 when
+    ``ordered``, then the epigraph rows.  ``epigraph = (lhs, owner)`` gives
+    one row lhs[r] @ a - t[owner[r]] <= 0 per r; the objective covers a and t.
+    """
+    n, k = inst.n_files, inst.n_users
+    n_a = n * (k + 1)
+    n_vars = objective.shape[0]
+    epi_lhs, owner = epigraph if epigraph is not None else (np.zeros((0, n_a)), np.zeros(0, int))
+    part = np.zeros((n, n_vars))
+    part[:, :n_a] = np.kron(np.eye(n), partition_coefficients(k))
+    cache = np.zeros(n_vars)
+    cache[:n_a] = np.tile(cache_coefficients(k), n)
+    first = 0 if exact_cache else 1
+    n_chain = (n - 1) * k if ordered else 0
+    # one allocation for the <= rows: the epigraph block dominates memory
+    ub = np.zeros((first + n_chain + owner.shape[0], n_vars))
+    ub_rhs = np.zeros(ub.shape[0])
+    if exact_cache:
+        eq, eq_rhs = np.vstack([part, cache]), np.append(inst.file_sizes, inst.cache_size)
+    else:
+        eq, eq_rhs = part, inst.file_sizes.astype(float)
+        ub[0], ub_rhs[0] = cache, inst.cache_size
+    r = np.arange(n_chain)
+    col = r + r // k + 1  # a_{n,l} with n = r // k, l = r % k + 1
+    ub[first + r, col] = -1.0
+    ub[first + r, col + k + 1] = 1.0
+    top = first + n_chain
+    ub[top:, :n_a] = epi_lhs
+    ub[top + np.arange(owner.shape[0]), n_a + owner] = -1.0
+    return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
+
+
+def solve_placement(problem: LpProblem, inst: Instance) -> tuple[float, Placement, int]:
+    """Solve a placement program; return (value, placement, iterations).
+
+    Programs with epigraph variables are tall (one row per ordering or
+    message), so they are solved through the explicit dual.  Entries in
+    (-1e-9, 0] are cleared to 0.0.
+    """
+    n_a = inst.n_files * (inst.n_users + 1)
+    sol = (lp.solve_via_dual if problem.n_vars > n_a else lp.solve)(problem)
+    if not sol.optimal:
+        raise RuntimeError(f"placement program reported {sol.status}; this is a bug")
+    m = sol.x[:n_a].reshape(inst.n_files, inst.n_users + 1)
+    m = np.where((m < 0) & (m > -1e-9), 0.0, m) + 0.0
+    return float(sol.value), Placement(m, inst), sol.iterations
 
 
 def validate_placement(inst: Instance, a: PlacementLike) -> list[Violation]:

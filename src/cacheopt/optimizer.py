@@ -25,18 +25,11 @@ from itertools import combinations
 
 import numpy as np
 
-from . import lp
 from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import avg_rate_ccs_closed, avg_rate_closed, g_coefficients
 from .delivery import demand_classes, leader_group
-from .lp import LpProblem, SizeGuardError
-from .model import (
-    Instance,
-    Placement,
-    binom,
-    cache_coefficients,
-    partition_coefficients,
-)
+from .lp import SizeGuardError
+from .model import Instance, Placement, binom, placement_program, solve_placement
 
 _TOL = 1e-12
 P4_MAX_USERS = 4
@@ -277,14 +270,18 @@ def _canonical(cand: GroupingCandidate) -> GroupingCandidate:
     return replace(cand, kind="three_group", n_o=breaks[0], n_1=breaks[1])
 
 
-def _search(inst: Instance, score) -> GroupingCandidate:
+def _canonical_candidates(inst: Instance) -> list[GroupingCandidate]:
+    return [_canonical(cand) for cand in enumerate_candidates(inst)]
+
+
+def _best(inst: Instance, cands: list[GroupingCandidate], score) -> GroupingCandidate:
+    """Lowest-rate candidate; near-ties go to the simplest grouping (sort_key)."""
     best: GroupingCandidate | None = None
-    for cand in enumerate_candidates(inst):
+    for cand in cands:
         rate = score(inst, cand.matrix)
-        cand = replace(_canonical(cand), rate=rate)
         if best is None or rate < best.rate - 1e-12 or (
                 rate < best.rate + 1e-12 and cand.sort_key() < best.sort_key()):
-            best = cand
+            best = replace(cand, rate=rate)
     if best is None:
         raise RuntimeError("candidate search produced no feasible placement; this is a bug")
     return best
@@ -294,7 +291,7 @@ def optimize_ccs(inst: Instance) -> GroupingCandidate:
     """Best placement for the all-subsets baseline scheme (same candidate family)."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes")
-    return _search(inst, avg_rate_ccs_closed)
+    return _best(inst, _canonical_candidates(inst), avg_rate_ccs_closed)
 
 
 def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
@@ -302,36 +299,15 @@ def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
     """Grouping search for the redundancy-removing scheme, with bound context."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes; see solve_p4_lp")
-    best = _search(inst, avg_rate_closed)
-    rate_ccs = optimize_ccs(inst).rate if with_ccs else None
+    cands = _canonical_candidates(inst)
+    best = _best(inst, cands, avg_rate_closed)
+    rate_ccs = _best(inst, cands, avg_rate_ccs_closed).rate if with_ccs else None
     lb1 = lb2 = gap = None
     if with_bounds:
         lb1 = lower_bound_p1(inst).value
         lb2 = lower_bound_p2(inst).value
         gap = best.rate - lb1
     return OptimizeReport(best, best.rate, rate_ccs, lb1, lb2, gap)
-
-
-def _placement_lp_constraints(inst: Instance):
-    """Partition + exact-cache equalities and the popularity-first chain rows."""
-    n, k = inst.n_files, inst.n_users
-    n_vars = n * (k + 1)
-    eq = np.zeros((n + 1, n_vars))
-    b_part = partition_coefficients(k)
-    cache = cache_coefficients(k)
-    for fi in range(n):
-        eq[fi, fi * (k + 1):(fi + 1) * (k + 1)] = b_part
-        eq[n, fi * (k + 1):(fi + 1) * (k + 1)] = cache
-    eq_rhs = np.concatenate([np.ones(n), [inst.cache_size]])
-
-    chain = np.zeros(((n - 1) * k, n_vars))
-    r = 0
-    for fi in range(n - 1):
-        for l in range(1, k + 1):
-            chain[r, fi * (k + 1) + l] = -1.0
-            chain[r, (fi + 1) * (k + 1) + l] = 1.0
-            r += 1
-    return eq, eq_rhs, chain, np.zeros(chain.shape[0])
 
 
 def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
@@ -345,15 +321,9 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
         g = coeffs.g_ccs
     else:
         raise ValueError("scheme must be 'mccs' or 'ccs'")
-    eq, eq_rhs, chain, chain_rhs = _placement_lp_constraints(inst)
-    problem = LpProblem(objective=g.ravel(), eq_lhs=eq, eq_rhs=eq_rhs,
-                        ub_lhs=chain, ub_rhs=chain_rhs)
-    sol = lp.solve(problem)
-    if not sol.optimal:
-        raise RuntimeError(f"placement LP reported {sol.status}; this is a bug")
-    matrix = sol.x.reshape(inst.n_files, inst.n_users + 1)
-    matrix = np.where((matrix < 0) & (matrix > -1e-9), 0.0, matrix)
-    return LpOptimum(Placement(matrix, inst), float(sol.value), sol.iterations)
+    problem = placement_program(inst, g.ravel(), exact_cache=True, ordered=True)
+    value, placement, iterations = solve_placement(problem, inst)
+    return LpOptimum(placement, value, iterations)
 
 
 def solve_p4_lp(inst: Instance) -> LpOptimum:
@@ -380,35 +350,17 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
 
     keys = sorted(weights)
     n_a = n * (k + 1)
-    n_vars = n_a + len(keys)
-    c = np.zeros(n_vars)
-    for j, key in enumerate(keys):
-        c[n_a + j] = weights[key]
-
-    eq = np.zeros((n, n_vars))
-    b_part = partition_coefficients(k)
-    for fi in range(n):
-        eq[fi, fi * (k + 1):(fi + 1) * (k + 1)] = b_part
-    eq_rhs = inst.file_sizes.astype(float)
-
-    rows = [np.zeros(n_vars)]
-    cache = cache_coefficients(k)
-    for fi in range(n):
-        rows[0][fi * (k + 1):(fi + 1) * (k + 1)] = cache
-    rhs = [inst.cache_size]
+    c = np.zeros(n_a + len(keys))
+    n_rows = sum(len(set(files)) for _, files in keys)
+    lhs = np.zeros((n_rows, n_a))
+    owner = np.zeros(n_rows, dtype=int)
+    r = 0
     for j, (l, files) in enumerate(keys):
+        c[n_a + j] = weights[(l, files)]
         for f in sorted(set(files)):
-            row = np.zeros(n_vars)
-            row[(f - 1) * (k + 1) + l] = 1.0
-            row[n_a + j] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-
-    problem = LpProblem(objective=c, eq_lhs=eq, eq_rhs=eq_rhs,
-                        ub_lhs=np.array(rows), ub_rhs=np.array(rhs))
-    sol = lp.solve_via_dual(problem)
-    if not sol.optimal:
-        raise RuntimeError(f"unrestricted placement LP reported {sol.status}; this is a bug")
-    matrix = sol.x[:n_a].reshape(n, k + 1)
-    matrix = np.where((matrix < 0) & (matrix > -1e-9), 0.0, matrix)
-    return LpOptimum(Placement(matrix, inst), float(sol.value), sol.iterations)
+            lhs[r, (f - 1) * (k + 1) + l] = 1.0
+            owner[r] = j
+            r += 1
+    problem = placement_program(inst, c, (lhs, owner))
+    value, placement, iterations = solve_placement(problem, inst)
+    return LpOptimum(placement, value, iterations)

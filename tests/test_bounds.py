@@ -124,7 +124,7 @@ class TestGeneralBound:
     def test_direct_and_dual_routes_agree(self, rng):
         for _ in range(5):
             inst = Instance(4, 3, float(rng.uniform(0, 4)), random_popularity(4, rng))
-            problem, _ = B._epigraph_problem(inst, np.ones(4))
+            problem = B._epigraph_problem(inst)
             assert solve(problem).value == pytest.approx(
                 lower_bound_p1(inst).value, abs=1e-9)
 
@@ -237,6 +237,12 @@ class TestSizedBound:
         sizes = [1.5, 1.25, 1.0, 0.75]
         inst = Instance(4, 2, sum(sizes), [0.4, 0.3, 0.2, 0.1], sizes)
         assert lower_bound_p5(inst).value == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bound", [lower_bound_p1, lower_bound_p2])
+    def test_uniform_bounds_reject_sizes(self, bound):
+        inst = Instance(4, 2, 4.0, [0.4, 0.3, 0.2, 0.1], [1.0, 2.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="lower_bound_p5"):
+            bound(inst)
 
     def test_two_user_delivery_attains_it(self, rng):
         sizes = np.array([1.5, 1.25, 1.0, 0.75])

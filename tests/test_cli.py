@@ -109,6 +109,20 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["which"] == "P5"
 
+    @pytest.mark.parametrize("which", ["p1", "p2"])
+    def test_uniform_bound_rejects_sizes_exit_2(self, capsys, which):
+        code, out, err = run_cli(capsys, "bound", "--files", "4", "--users", "2",
+                                 "--cache", "4", "--zipf", "0.8",
+                                 "--sizes", "[1,2,1,0.5]", "--which", which)
+        assert code == 2 and out == ""
+        assert "lower_bound_p5" in err
+
+    def test_no_negative_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--files", "7", "--users", "4",
+                               "--cache", "2", "--zipf", "0.56", "--which", "p1")
+        assert code == 0
+        assert "-0.0" not in out
+
 
 class TestSweepCommand:
     ARGS = ("sweep", "--files", "4", "--users", "3", "--cache", "0", "--zipf", "1.0",
@@ -165,6 +179,22 @@ class TestSweepCommand:
         for line in lines[1:]:
             _, p4, p5 = (float(v) for v in line.split(","))
             assert abs(p4 - p5) < 1e-6  # two users: delivery attains the bound
+
+    def test_sized_default_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--files", "3", "--users", "2",
+                               "--cache", "0", "--zipf", "0.56",
+                               "--sizes", "[1.5, 1.0, 0.5]", "--variable", "cache",
+                               "--start", "1", "--stop", "2", "--step", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "x,p4,lb_p5"
+
+    def test_sized_lb_p1_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--files", "4", "--users", "2",
+                               "--cache", "0", "--zipf", "0.8", "--sizes", "[1,2,1,0.5]",
+                               "--variable", "cache", "--start", "1", "--stop", "2",
+                               "--step", "1", "--outputs", "lb_p1,lb_p5")
+        assert code == 2
+        assert "lower_bound_p5" in err
 
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--files", "3", "--users", "2",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from cacheopt.lp import LpProblem, dump, solve, solve_via_dual
+from cacheopt.lp import LpProblem, solve, solve_via_dual
 
 
 def random_problem(rng, n_max=8, m_max=6):
@@ -44,14 +44,6 @@ class TestBasics:
     def test_unbounded(self):
         sol = solve(LpProblem(objective=np.array([-1.0])))
         assert sol.status == "unbounded"
-
-    def test_lower_bounds_shift(self):
-        sol = solve(LpProblem(objective=np.array([1.0, 2.0]),
-                              ub_lhs=np.array([[1.0, 1.0]]), ub_rhs=np.array([5.0]),
-                              lower_bounds=np.array([1.0, 0.5])))
-        assert sol.optimal
-        assert sol.x == pytest.approx([1.0, 0.5])
-        assert sol.value == pytest.approx(2.0)
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
@@ -156,12 +148,3 @@ class TestSolutionQuality:
         assert a.iterations == b.iterations
         assert a.value == b.value
         assert np.array_equal(a.x, b.x)
-
-
-def test_dump_layout():
-    prob = LpProblem(objective=np.array([1.0, -2.0]),
-                     eq_lhs=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0]),
-                     ub_lhs=np.array([[1.0, 0.0]]), ub_rhs=np.array([1.5]),
-                     names=("alpha", "beta"))
-    text = dump(prob)
-    assert "minimize" in text and "alpha" in text and "= 2" in text and "<= 1.5" in text
