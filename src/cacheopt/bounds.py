@@ -27,6 +27,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
+from .delivery import distinct_demand_classes
 from .lp import LpProblem, SizeGuardError
 from .model import (
     DistinctSet,
@@ -191,15 +192,11 @@ def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> flo
     if inst.n_users > inst.n_files:
         raise ValueError("all-distinct conditioning requires K <= N")
     m = as_matrix(a)
-    fact_k = math.factorial(inst.n_users)
     num = []
     den = []
-    for d in combinations(range(1, inst.n_files + 1), inst.n_users):
-        weight = fact_k
-        for f in d:
-            weight = weight * inst.popularity[f - 1]
+    for d, weight in distinct_demand_classes(inst):
         num.append(weight * rlb_popfirst(d, m))
-        den.append(float(weight))
+        den.append(weight)
     total = math.fsum(den)
     if total == 0.0:
         raise ValueError("all-distinct demands have zero probability")

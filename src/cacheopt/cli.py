@@ -33,12 +33,18 @@ from .model import (
 
 def _round6(value):
     if isinstance(value, float):
-        return round(value, 6)
+        return round(value, 6) + 0.0  # + 0.0 turns a rounded -0.0 into 0.0
     if isinstance(value, dict):
         return {k: _round6(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round6(v) for v in value]
     return value
+
+
+def _fixed6(value: float) -> str:
+    """``value`` to 6 decimal places; a value that rounds to zero prints unsigned."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _emit(text: str, out_path: str | None):
@@ -128,7 +134,7 @@ def cmd_optimize(args) -> int:
         _emit(_placement_table(matrix), args.out)
     elif args.format == "csv":
         keys = [k for k in ("rate_mccs", "rate_ccs_opt", "lb_p1", "lb_p2", "gap") if report.get(k) is not None]
-        line = ",".join(keys) + "\n" + ",".join(f"{report[k]:.6f}" for k in keys) + "\n"
+        line = ",".join(keys) + "\n" + ",".join(_fixed6(report[k]) for k in keys) + "\n"
         _emit(line, args.out)
     else:
         _emit(json.dumps(_round6(report), indent=2) + "\n", args.out)
@@ -219,7 +225,7 @@ def cmd_sweep(args) -> int:
     header = "x," + ",".join(outputs)
     lines = [header]
     for row in rows:
-        lines.append(",".join([f"{row['x']:.6f}"] + [f"{row[name]:.6f}" for name in outputs]))
+        lines.append(",".join(_fixed6(row[name]) for name in ("x",) + outputs))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

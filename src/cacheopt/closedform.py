@@ -37,6 +37,9 @@ class RateCoefficients:
     p_iun: np.ndarray
 
 
+# least-recently-used first: a hit moves its entry to the end, and inserts
+# beyond CACHE_ENTRIES evict from the front
+CACHE_ENTRIES = 64
 _cache: dict[tuple[int, int, bytes], RateCoefficients] = {}
 _cache_lock = threading.Lock()
 
@@ -71,9 +74,10 @@ def g_coefficients(inst: Instance) -> RateCoefficients:
     """Rate coefficients for the instance, cached per (N, K, popularity)."""
     key = (inst.n_files, inst.n_users, inst.popularity.tobytes())
     with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+        hit = _cache.pop(key, None)
+        if hit is not None:
+            _cache[key] = hit
+            return hit
 
     n, k = inst.n_files, inst.n_users
     p = inst.popularity
@@ -103,6 +107,8 @@ def g_coefficients(inst: Instance) -> RateCoefficients:
     coeffs = RateCoefficients(g=g_ccs - correction, g_ccs=g_ccs, p_iun=p_iun)
     with _cache_lock:
         _cache[key] = coeffs
+        while len(_cache) > CACHE_ENTRIES:
+            del _cache[next(iter(_cache))]
     return coeffs
 
 

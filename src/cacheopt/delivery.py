@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -178,29 +178,21 @@ def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
         yield combo, prob * mult
 
 
-def expected_rate(rate_fn, inst: Instance, a: PlacementLike) -> float:
+def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
     """Exact average delivery rate over the demand distribution.
 
-    ``rate_fn`` is 'mccs', 'ccs', or any callable (demand, matrix) -> float
-    that is invariant under user relabeling.
+    ``rate_fn`` names the delivery scheme: 'mccs' (``rate_mccs``) or 'ccs'
+    (``rate_ccs``).
     """
     if inst.n_files ** inst.n_users > ENUMERATION_GUARD:
         raise SizeGuardError(
             f"N^K = {inst.n_files ** inst.n_users} exceeds the exact-enumeration guard")
-    fn = _resolve_rate_fn(rate_fn)
+    if rate_fn not in ("mccs", "ccs"):
+        raise ValueError(f"rate_fn must be 'mccs' or 'ccs', got {rate_fn!r}")
+    fn = rate_mccs if rate_fn == "mccs" else rate_ccs
     m = as_matrix(a)
     terms = [prob * fn(rep, m) for rep, prob in demand_classes(inst)]
     return math.fsum(terms)
-
-
-def _resolve_rate_fn(rate_fn) -> Callable:
-    if rate_fn == "mccs":
-        return rate_mccs
-    if rate_fn == "ccs":
-        return rate_ccs
-    if callable(rate_fn):
-        return rate_fn
-    raise ValueError(f"rate_fn must be 'mccs', 'ccs', or callable, got {rate_fn!r}")
 
 
 def distinct_demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:

@@ -1,11 +1,15 @@
 """Dense two-phase simplex solver.
 
-Small, deterministic, dependency-free (numpy only).  The linear programs in
-this package have at most a few thousand rows, are often heavily degenerate
-(many symmetric files produce identical coefficients), and must solve
-bit-reproducibly, so a dense tableau simplex with a fixed pivot rule is the
-right tool.  Dantzig pricing is used until a degeneracy stall is detected,
-after which Bland's rule guarantees termination.
+Small, deterministic, dependency-free (numpy only).  The placement programs
+have a few hundred columns; the general bound's epigraph has one row per
+ordering of each distinct request set (about 13k rows at N=12, K=4), so tall
+programs are solved through their explicit dual (``solve_via_dual``).  The
+programs are often heavily degenerate (many symmetric files produce identical
+coefficients) and must solve bit-reproducibly, so a dense tableau simplex
+with a fixed pivot rule is the right tool.  The standard-form tableau is
+built in one allocation and pivoted in place.  Dantzig pricing is used until
+a degeneracy stall is detected, after which Bland's rule guarantees
+termination.
 """
 
 from __future__ import annotations
@@ -76,36 +80,15 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _dedupe_rows(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop exactly duplicated (lhs, rhs) rows, keeping first occurrences.
-
-    Returns (lhs, rhs, keep_index) where keep_index maps retained rows back to
-    the original row numbers.
-    """
-    if lhs.shape[0] == 0:
-        return lhs, rhs, np.arange(0)
-    stacked = np.ascontiguousarray(np.hstack([lhs, rhs[:, None]]))
-    seen: dict[bytes, int] = {}
-    keep = []
-    for i in range(stacked.shape[0]):
-        key = stacked[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    keep_idx = np.array(keep, dtype=int)
-    return lhs[keep_idx], rhs[keep_idx], keep_idx
-
-
 class _Tableau:
     """Full-tableau simplex state: rows = constraints, last row = reduced costs."""
 
-    def __init__(self, body: np.ndarray, rhs: np.ndarray, basis: list[int]):
-        m, _ = body.shape
-        self.T = np.hstack([body, rhs[:, None]])
+    def __init__(self, T: np.ndarray, basis: list[int]):
+        self.T = T
         self.basis = basis
-        self.m = m
+        self.m = T.shape[0]
         self.iterations = 0
-        self.cost = np.zeros(self.T.shape[1])
+        self.cost = np.zeros(T.shape[1])
 
     def set_objective(self, costs: np.ndarray):
         """Install reduced-cost row for the given variable costs."""
@@ -173,6 +156,15 @@ class _Tableau:
                 bland = False
 
 
+def _blocks(problem: LpProblem):
+    """(eq_lhs, eq_rhs, ub_lhs, ub_rhs), with absent blocks as empty arrays."""
+    n = problem.n_vars
+    return (problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n)),
+            problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0),
+            problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n)),
+            problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0))
+
+
 def solve(problem: LpProblem) -> LpSolution:
     """Solve an LpProblem with the two-phase simplex.
 
@@ -180,57 +172,33 @@ def solve(problem: LpProblem) -> LpSolution:
     malformed input or an internal failure raises.
     """
     n = problem.n_vars
-    c = problem.objective.copy()
-    a_eq = problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n))
-    b_eq = problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0)
-    a_ub = problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n))
-    b_ub = problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0)
-
-    a_ub, b_ub, ub_keep = _dedupe_rows(a_ub, b_ub)
+    a_eq, b_eq, a_ub, b_ub = _blocks(problem)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
     m = m_eq + m_ub
-
-    # standard form: [x | slacks]; rows flipped so every rhs is nonnegative
-    A = np.vstack([a_eq, a_ub]) if m else np.zeros((0, n))
     b = np.concatenate([b_eq, b_ub])
-    row_sign = np.ones(m)
-    neg = b < 0
-    row_sign[neg] = -1.0
-    A = A * row_sign[:, None]
-    b = b * row_sign
-
-    slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[m_eq + i, i] = row_sign[m_eq + i]
-    body = np.hstack([A, slack])
+    row_sign = np.where(b < 0, -1.0, 1.0)
+    # rows without a +1 slack (equalities, flipped <= rows) start on an artificial
+    art_rows = np.flatnonzero((np.arange(m) < m_eq) | (row_sign < 0))
     n_total = n + m_ub
+    n_cols = n_total + art_rows.size
 
-    basis: list[int] = [-1] * m
-    art_cols: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if i >= m_eq and slack[i, i - m_eq] > 0:
-            basis[i] = n + (i - m_eq)
-        else:
-            art_rows.append(i)
-    if art_rows:
-        art = np.zeros((m, len(art_rows)))
-        for j, i in enumerate(art_rows):
-            art[i, j] = 1.0
-            basis[i] = n_total + j
-            art_cols.append(n_total + j)
-        body = np.hstack([body, art])
-
-    tab = _Tableau(body, b, basis)
-    n_cols = body.shape[1]
-    is_art = np.zeros(n_cols, dtype=bool)
-    is_art[art_cols] = True
+    # standard form [x | slacks | artificials | rhs] in one allocation; rows
+    # flipped so every rhs is nonnegative
+    T = np.zeros((m, n_cols + 1))
+    T[:m_eq, :n] = a_eq
+    T[m_eq:, :n] = a_ub
+    T[row_sign < 0, :n] *= -1.0
+    T[:, -1] = b * row_sign
+    T[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = row_sign[m_eq:]
+    T[art_rows, n_total + np.arange(art_rows.size)] = 1.0
+    basis = np.arange(n - m_eq, n_total)  # row i starts on its slack ...
+    basis[art_rows] = n_total + np.arange(art_rows.size)  # ... or its artificial
+    tab = _Tableau(T, basis.tolist())
+    is_art = np.arange(n_cols) >= n_total
 
     # phase 1: drive out artificials
-    if art_cols:
-        phase1 = np.zeros(n_cols)
-        phase1[art_cols] = 1.0
-        tab.set_objective(phase1)
+    if art_rows.size:
+        tab.set_objective(is_art.astype(float))
         status = tab.run(eligible=~is_art)
         if status != "optimal" or -tab.cost[-1] > FEAS_TOL:
             return LpSolution("infeasible", None, None, tab.iterations)
@@ -252,45 +220,50 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # phase 2
     costs = np.zeros(n_cols)
-    costs[:n] = c
+    costs[:n] = problem.objective
     tab.set_objective(costs)
     status = tab.run(eligible=~is_art)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, tab.iterations)
 
-    x = np.zeros(n_total)
+    x = np.zeros(n)
     for r, j in enumerate(tab.basis):
-        if j < n_total:
+        if j < n:
             x[j] = tab.T[r, -1]
-    xvars = x[:n]
-    value = float(problem.objective @ xvars)
-
-    duals_eq, duals_ub = _recover_duals(
-        problem, body, costs, tab, row_sign, m_eq, m_ub, ub_keep
-    )
-    return LpSolution("optimal", xvars, value, tab.iterations, duals_eq, duals_ub)
+    value = float(problem.objective @ x)
+    duals_eq, duals_ub = _recover_duals(problem, costs, tab, row_sign)
+    return LpSolution("optimal", x, value, tab.iterations, duals_eq, duals_ub)
 
 
-def _recover_duals(problem, body, costs, tab, row_sign, m_eq, m_ub, ub_keep):
-    """Row prices y with B^T y = c_B, mapped back to the caller's rows."""
+def _recover_duals(problem, costs, tab, row_sign):
+    """Row prices y with B^T y = c_B, mapped back to the caller's rows.
+
+    The basis matrix B is rebuilt from the caller's columns: a structural
+    column is the problem column times the row signs, a slack the signed unit
+    vector of its row.  Every row is kept, so no artificial is basic.
+    """
+    m = row_sign.shape[0]
     # needs the full original row set; skipped when redundant rows were dropped
-    if tab.m != row_sign.shape[0]:
+    if tab.m != m:
         return None, None
-    cols = body[:, tab.basis]
+    n = problem.n_vars
+    a_eq, _, a_ub, _ = _blocks(problem)
+    m_eq = a_eq.shape[0]
+    basis = np.array(tab.basis, dtype=int)
+    structural = np.flatnonzero(basis < n)
+    slack = np.flatnonzero(basis >= n)
+    slack_rows = m_eq + basis[slack] - n
+    B = np.zeros((m, m))
+    B[:m_eq, structural] = a_eq[:, basis[structural]]
+    B[m_eq:, structural] = a_ub[:, basis[structural]]
+    B[:, structural] *= row_sign[:, None]
+    B[slack_rows, slack] = row_sign[slack_rows]
     try:
-        y = np.linalg.solve(cols.T, costs[tab.basis])
+        y = np.linalg.solve(B.T, costs[tab.basis])
     except np.linalg.LinAlgError:
         return None, None
     y = y * row_sign
-    duals_eq = y[:m_eq] if m_eq else None
-    if m_ub:
-        n_orig = problem.ub_rhs.shape[0]
-        full = np.zeros(n_orig)
-        full[ub_keep] = y[m_eq:]
-        duals_ub = full
-    else:
-        duals_ub = None
-    return duals_eq, duals_ub
+    return (y[:m_eq] if m_eq else None), (y[m_eq:] if m > m_eq else None)
 
 
 def solve_via_dual(problem: LpProblem) -> LpSolution:
@@ -301,11 +274,7 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
     variable; its constraint prices recover a primal optimum.  Falls back to
     the direct solve if the recovered point fails a feasibility check.
     """
-    n = problem.n_vars
-    a_eq = problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n))
-    b_eq = problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0)
-    a_ub = problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n))
-    b_ub = problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0)
+    a_eq, b_eq, a_ub, b_ub = _blocks(problem)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
 
     # max b_eq'mu + b_ub'lam  s.t. A_eq'mu + A_ub'lam <= c, lam <= 0

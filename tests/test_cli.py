@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestBoundCommand:
                                "--cache", "2", "--zipf", "0.56", "--which", "p1")
         assert code == 0
         assert "-0.0" not in out
+
+
+class TestNegativeZero:
+    """A value that rounds to zero prints unsigned in every output format."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--files", "2", "--users", "3", "--cache", "2", "--zipf", "0",
+         "--which", "p2"),
+        ("optimize", "--files", "2", "--users", "2", "--cache", "0", "--zipf", "0.56"),
+        ("optimize", "--files", "2", "--users", "2", "--cache", "0", "--zipf", "0.56",
+         "--format", "csv"),
+        ("sweep", "--files", "2", "--users", "3", "--cache", "0", "--zipf", "0",
+         "--variable", "cache", "--start", "2", "--stop", "2", "--step", "1"),
+    ])
+    def test_rounded_zero_is_unsigned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert re.findall(r"-0\.0+(?![0-9])", out) == []
 
 
 class TestSweepCommand:

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cacheopt import lp
+from cacheopt.bounds import _epigraph_problem
 from cacheopt.lp import LpProblem, solve, solve_via_dual
+from cacheopt.model import Instance
 
 
 def random_problem(rng, n_max=8, m_max=6):
@@ -148,3 +153,30 @@ class TestSolutionQuality:
         assert a.iterations == b.iterations
         assert a.value == b.value
         assert np.array_equal(a.x, b.x)
+
+
+class TestMemory:
+    def test_tableau_built_in_one_allocation(self, monkeypatch):
+        # the P1 dual at (7,4): the tableau plus one pivot update is the floor
+        problem = _epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56))
+        peaks = []
+        direct = lp.solve
+
+        def traced(prob):
+            tracemalloc.start()
+            try:
+                sol = direct(prob)
+                peaks.append((prob, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            return sol
+
+        monkeypatch.setattr(lp, "solve", traced)
+        assert solve_via_dual(problem).optimal
+        assert len(peaks) == 1  # the dual route, no primal fallback
+        dual, peak = peaks[0]
+        # <= rows with nonnegative rhs: slacks only, no artificials
+        assert dual.eq_lhs is None and np.all(dual.ub_rhs >= 0)
+        rows, cols = dual.ub_lhs.shape
+        tableau = rows * (cols + rows + 1) * 8
+        assert peak <= 2.5 * tableau, f"peak {peak / tableau:.2f}x the tableau"
