@@ -9,17 +9,16 @@ distinct requests and that file n is requested by the i-th non-leader user
 when non-leaders are ranked by decreasing popularity of their request
 (ascending file index; index breaks popularity ties).  P is obtained by exact
 enumeration over demand multiset classes rather than a combinatorial formula.
+Nothing is cached: to score many placements of one instance, compute g once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delivery import ENUMERATION_GUARD, demand_classes
-from .lp import SizeGuardError
+from .delivery import demand_classes
 from .model import Instance, PlacementLike, as_matrix, binom, is_popularity_first
 
 
@@ -27,21 +26,12 @@ from .model import Instance, PlacementLike, as_matrix, binom, is_popularity_firs
 class RateCoefficients:
     """Average-rate coefficients for one (N, K, popularity) triple.
 
-    ``g`` is the N x (K+1) matrix for the redundancy-removing scheme, ``g_ccs``
-    the baseline-only first term, and ``p_iun[i, u, n]`` the redundant-request
-    probabilities (1-based axes; index 0 unused).
+    ``g`` is the N x (K+1) matrix for the redundancy-removing scheme and
+    ``g_ccs`` the baseline-only first term.
     """
 
     g: np.ndarray
     g_ccs: np.ndarray
-    p_iun: np.ndarray
-
-
-# least-recently-used first: a hit moves its entry to the end, and inserts
-# beyond CACHE_ENTRIES evict from the front
-CACHE_ENTRIES = 64
-_cache: dict[tuple[int, int, bytes], RateCoefficients] = {}
-_cache_lock = threading.Lock()
 
 
 def redundancy_probabilities(inst: Instance) -> np.ndarray:
@@ -53,8 +43,6 @@ def redundancy_probabilities(inst: Instance) -> np.ndarray:
     every position i of that list.
     """
     n, k = inst.n_files, inst.n_users
-    if n ** k > ENUMERATION_GUARD:
-        raise SizeGuardError(f"N^K = {n ** k} exceeds the exact-enumeration guard")
     p_iun = np.zeros((k + 1, k + 1, n + 1))
     for rep, prob in demand_classes(inst):
         seen: set[int] = set()
@@ -71,14 +59,7 @@ def redundancy_probabilities(inst: Instance) -> np.ndarray:
 
 
 def g_coefficients(inst: Instance) -> RateCoefficients:
-    """Rate coefficients for the instance, cached per (N, K, popularity)."""
-    key = (inst.n_files, inst.n_users, inst.popularity.tobytes())
-    with _cache_lock:
-        hit = _cache.pop(key, None)
-        if hit is not None:
-            _cache[key] = hit
-            return hit
-
+    """Rate coefficients of (N, K, popularity); every call enumerates the demand classes."""
     n, k = inst.n_files, inst.n_users
     p = inst.popularity
     tails = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])  # tails[n-1] = sum_{n'>=n} p
@@ -104,28 +85,22 @@ def g_coefficients(inst: Instance) -> RateCoefficients:
                     continue
                 correction[:, l] += inner * p_iun[i, u, 1:]
 
-    coeffs = RateCoefficients(g=g_ccs - correction, g_ccs=g_ccs, p_iun=p_iun)
-    with _cache_lock:
-        _cache[key] = coeffs
-        while len(_cache) > CACHE_ENTRIES:
-            del _cache[next(iter(_cache))]
-    return coeffs
+    return RateCoefficients(g=g_ccs - correction, g_ccs=g_ccs)
 
 
-def _require_popularity_first(a: PlacementLike) -> np.ndarray:
+def rate_from_coefficients(coef: np.ndarray, a: PlacementLike) -> float:
+    """Expected rate sum(coef * a) of a popularity-first a; ``coef`` is ``g`` or ``g_ccs``."""
     m = as_matrix(a)
     if not is_popularity_first(m):
         raise ValueError("closed-form rates require a popularity-first placement")
-    return m
+    return float(np.sum(coef * m))
 
 
 def avg_rate_closed(inst: Instance, a: PlacementLike) -> float:
     """Closed-form expected rate of the redundancy-removing scheme."""
-    m = _require_popularity_first(a)
-    return float(np.sum(g_coefficients(inst).g * m))
+    return rate_from_coefficients(g_coefficients(inst).g, a)
 
 
 def avg_rate_ccs_closed(inst: Instance, a: PlacementLike) -> float:
     """Closed-form expected rate of the all-subsets baseline scheme."""
-    m = _require_popularity_first(a)
-    return float(np.sum(g_coefficients(inst).g_ccs * m))
+    return rate_from_coefficients(g_coefficients(inst).g_ccs, a)

@@ -156,9 +156,12 @@ def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
     """Multiset equivalence classes of demands with their total probabilities.
 
     Yields (sorted representative demand, probability of the whole class) in
-    lexicographic order; probabilities sum to 1.
+    lexicographic order; probabilities sum to 1.  Raises ``SizeGuardError``
+    before the first yield when N^K exceeds ``ENUMERATION_GUARD``.
     """
     n, k = inst.n_files, inst.n_users
+    if n ** k > ENUMERATION_GUARD:
+        raise SizeGuardError(f"N^K = {n ** k} exceeds the exact-enumeration guard")
     p = inst.popularity
     fact_k = math.factorial(k)
     for combo in combinations_with_replacement(range(1, n + 1), k):
@@ -184,9 +187,6 @@ def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
     ``rate_fn`` names the delivery scheme: 'mccs' (``rate_mccs``) or 'ccs'
     (``rate_ccs``).
     """
-    if inst.n_files ** inst.n_users > ENUMERATION_GUARD:
-        raise SizeGuardError(
-            f"N^K = {inst.n_files ** inst.n_users} exceeds the exact-enumeration guard")
     if rate_fn not in ("mccs", "ccs"):
         raise ValueError(f"rate_fn must be 'mccs' or 'ccs', got {rate_fn!r}")
     fn = rate_mccs if rate_fn == "mccs" else rate_ccs

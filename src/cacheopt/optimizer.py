@@ -27,7 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from .bounds import lower_bound_p1, lower_bound_p2
-from .closedform import avg_rate_ccs_closed, avg_rate_closed, g_coefficients
+from .closedform import g_coefficients, rate_from_coefficients
 from .delivery import demand_classes, leader_group
 from .lp import SizeGuardError
 from .model import Instance, Placement, binom, placement_program, solve_placement
@@ -281,11 +281,11 @@ def _canonical_candidates(inst: Instance) -> list[GroupingCandidate]:
     return [_canonical(cand) for cand in enumerate_candidates(inst)]
 
 
-def _best(inst: Instance, cands: list[GroupingCandidate], score) -> GroupingCandidate:
-    """Lowest-rate candidate; near-ties go to the simplest grouping (sort_key)."""
+def _best(cands: list[GroupingCandidate], coef: np.ndarray) -> GroupingCandidate:
+    """Lowest-rate candidate under ``coef``; near-ties go to the simplest grouping (sort_key)."""
     best: GroupingCandidate | None = None
     for cand in cands:
-        rate = score(inst, cand.matrix)
+        rate = rate_from_coefficients(coef, cand.matrix)
         if best is None or rate < best.rate - 1e-12 or (
                 rate < best.rate + 1e-12 and cand.sort_key() < best.sort_key()):
             best = replace(cand, rate=rate)
@@ -298,7 +298,7 @@ def optimize_ccs(inst: Instance) -> GroupingCandidate:
     """Best placement for the all-subsets baseline scheme (same candidate family)."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes")
-    return _best(inst, _canonical_candidates(inst), avg_rate_ccs_closed)
+    return _best(_canonical_candidates(inst), g_coefficients(inst).g_ccs)
 
 
 def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
@@ -307,8 +307,9 @@ def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes; see solve_p4_lp")
     cands = _canonical_candidates(inst)
-    best = _best(inst, cands, avg_rate_closed)
-    rate_ccs = _best(inst, cands, avg_rate_ccs_closed).rate if with_ccs else None
+    coeffs = g_coefficients(inst)
+    best = _best(cands, coeffs.g)
+    rate_ccs = _best(cands, coeffs.g_ccs).rate if with_ccs else None
     lb1 = lb2 = gap = None
     if with_bounds:
         lb1 = lower_bound_p1(inst).value

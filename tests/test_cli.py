@@ -271,6 +271,30 @@ class TestRateCommand:
         assert code == 2
         assert "infeasible" in err
 
+    def optimized_placement(self, capsys, tmp_path, shift=0.0):
+        code, out, _ = run_cli(capsys, "optimize", *self.instance_args())
+        assert code == 0
+        doc = json.loads(out)
+        doc["placement"][0][0] += shift
+        path = tmp_path / "optimized.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_accepts_printed_optimum(self, capsys, tmp_path):
+        # optimize prints entries to 6 decimals, so its rows sum to 0.999999
+        path = self.optimized_placement(capsys, tmp_path)
+        code, out, err = run_cli(capsys, "rate", *self.instance_args(),
+                                 "--placement", path, "--demand", "1,1,2,3")
+        assert code == 0, err
+        assert json.loads(out)["distinct"] == [1, 2, 3]
+
+    def test_rejects_row_beyond_rounding(self, capsys, tmp_path):
+        path = self.optimized_placement(capsys, tmp_path, shift=1e-4)
+        code, _, err = run_cli(capsys, "rate", *self.instance_args(),
+                               "--placement", path, "--demand", "1,1,2,3")
+        assert code == 2
+        assert "file 1 partitions" in err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -9,6 +9,7 @@ from cacheopt.bounds import (
     enumerate_distinct_sets,
     rlb_popfirst,
 )
+from cacheopt.closedform import g_coefficients
 from cacheopt.delivery import (
     coded_message_size,
     conditional_expected_rate_distinct,
@@ -205,6 +206,11 @@ class TestExpectedRate:
         inst = Instance(30, 8, 1.0, np.full(30, 1 / 30))
         with pytest.raises(SizeGuardError):
             expected_rate("mccs", inst, np.tile([1.0] + [0.0] * 8, (30, 1)))
+        # the guard sits in demand_classes, so every enumeration shares it
+        with pytest.raises(SizeGuardError):
+            g_coefficients(inst)
+        with pytest.raises(SizeGuardError):
+            next(demand_classes(inst))
 
     def test_unknown_rate_fn(self):
         with pytest.raises(ValueError):

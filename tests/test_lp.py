@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,26 @@ class TestAgainstScipy:
                     assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) < 1e-8
                 assert np.max(prob.ub_lhs @ x - prob.ub_rhs) < 1e-8
                 assert np.min(x) > -1e-9
+
+
+class TestDualRoute:
+    def test_failed_recovery_raises_without_second_solve(self, monkeypatch):
+        # perturbed dual prices give a primal point that fails the residual
+        # check; the dual route reports it instead of re-solving the primal
+        original = lp.solve
+        calls = []
+
+        def perturbed(problem):
+            calls.append(problem)
+            sol = original(problem)
+            return replace(sol, duals_ub=sol.duals_ub + 0.25)
+
+        monkeypatch.setattr(lp, "solve", perturbed)
+        problem = LpProblem(objective=[-1.0, -1.0], ub_lhs=[[1.0, 2.0], [3.0, 1.0]],
+                            ub_rhs=[4.0, 6.0])
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_via_dual(problem)
+        assert len(calls) == 1
 
 
 class TestSolutionQuality:

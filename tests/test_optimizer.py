@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cacheopt import closedform, optimizer
 from cacheopt.bounds import lower_bound_p5
 from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
 from cacheopt.delivery import expected_rate
@@ -354,3 +357,34 @@ class TestSchemeComparison:
         best = optimize_ccs(inst)
         assert best.rate == pytest.approx(avg_rate_ccs_closed(inst, best.matrix),
                                           abs=1e-12)
+
+
+class TestSearchCoefficients:
+    def test_coefficients_computed_once_per_search(self, monkeypatch):
+        original = closedform.g_coefficients
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(closedform, "g_coefficients", counted)
+        monkeypatch.setattr(optimizer, "g_coefficients", counted)
+        optimize_mccs(Instance.from_zipf(12, 4, 3.0, 0.56), with_bounds=False,
+                      with_ccs=True)
+        assert len(calls) == 1
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 6), k=st.integers(2, 4),
+           cache_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_search_equals_lp_and_enumeration(self, n, k, cache_frac, seed):
+        p = np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+        inst = Instance(n, k, cache_frac * n, p / p.sum())
+        report = optimize_mccs(inst, with_bounds=False, with_ccs=True)
+        ccs = optimize_ccs(inst)
+        assert report.rate_mccs == pytest.approx(solve_p3_lp(inst).value, abs=1e-9)
+        assert ccs.rate == report.rate_ccs_opt
+        assert ccs.rate == pytest.approx(solve_p3_lp(inst, scheme="ccs").value, abs=1e-9)
+        assert report.rate_mccs == pytest.approx(
+            expected_rate("mccs", inst, report.best.matrix), abs=1e-9)
+        assert ccs.rate == pytest.approx(expected_rate("ccs", inst, ccs.matrix), abs=1e-9)
