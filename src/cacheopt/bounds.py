@@ -27,7 +27,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .delivery import distinct_demand_classes
+from .delivery import conditional_expected_distinct
 from .lp import LpProblem, SizeGuardError
 from .model import (
     DistinctSet,
@@ -189,15 +189,4 @@ def lower_bound_p2(inst: Instance) -> BoundResult:
 
 def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> float:
     """Expected rlb_popfirst over all-distinct demands, renormalized."""
-    if inst.n_users > inst.n_files:
-        raise ValueError("all-distinct conditioning requires K <= N")
-    m = as_matrix(a)
-    num = []
-    den = []
-    for d, weight in distinct_demand_classes(inst):
-        num.append(weight * rlb_popfirst(d, m))
-        den.append(weight)
-    total = math.fsum(den)
-    if total == 0.0:
-        raise ValueError("all-distinct demands have zero probability")
-    return math.fsum(num) / total
+    return conditional_expected_distinct(inst, a, rlb_popfirst)

@@ -9,9 +9,10 @@ Two delivery strategies are evaluated on the same placement:
 
 Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
-Expectations over random demands are computed exactly by grouping the N^K
-demand vectors into multiset equivalence classes (every rate here is invariant
-under user relabeling) and weighting each class by its multinomial probability.
+Expectations over random demands are exact: the N^K demand vectors are grouped
+into multiset classes weighted by their multinomial probabilities (every rate
+here is invariant under user relabeling), and ``message_weights`` tabulates the
+expected message count per (level, file set) from them.
 """
 
 from __future__ import annotations
@@ -181,18 +182,44 @@ def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
         yield combo, prob * mult
 
 
-def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
-    """Exact average delivery rate over the demand distribution.
+def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, ...]], float]:
+    """Expected message count per key (level l, requested-file set), keys sorted.
 
-    ``rate_fn`` names the delivery scheme: 'mccs' (``rate_mccs``) or 'ccs'
-    (``rate_ccs``).
+    A message for user subset S has level l = |S| - 1 and is padded to
+    max_{f in files} a[f, l], so its size depends only on the file set S
+    requests.  One walk over ``demand_classes`` x nonempty user subsets counts
+    every subset for 'ccs' and the subsets meeting ``leader_group`` for 'mccs'.
     """
-    if rate_fn not in ("mccs", "ccs"):
-        raise ValueError(f"rate_fn must be 'mccs' or 'ccs', got {rate_fn!r}")
-    fn = rate_mccs if rate_fn == "mccs" else rate_ccs
+    if scheme not in ("mccs", "ccs"):
+        raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
+    n, k = inst.n_files, inst.n_users
+    # user bitmasks ascending: a mask's files extend those of the mask without
+    # its lowest user; a key packs the level above the file bits
+    steps = [(mask, mask & (mask - 1), (mask & -mask).bit_length() - 1,
+              (bin(mask).count("1") - 1) << n) for mask in range(1, 1 << k)]
+    files = [0] * (1 << k)
+    packed: dict[int, float] = {}
+    for rep, prob in demand_classes(inst):
+        bits = [1 << (f - 1) for f in rep]
+        leaders = (1 << k) - 1 if scheme == "ccs" else sum(
+            1 << (u - 1) for u in leader_group(rep).users)
+        for mask, rest, low, level in steps:
+            files[mask] = files[rest] | bits[low]
+            if mask & leaders:
+                key = level | files[mask]
+                packed[key] = packed.get(key, 0.0) + prob
+    return dict(sorted(((key >> n, tuple(f + 1 for f in range(n) if key >> f & 1)), w)
+                       for key, w in packed.items()))
+
+
+def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
+    """Exact average rate of scheme ``rate_fn`` ('mccs' or 'ccs') over random demands.
+
+    The ``math.fsum`` of W * max_{f in files} a[f, l] over ``message_weights``.
+    """
     m = as_matrix(a)
-    terms = [prob * fn(rep, m) for rep, prob in demand_classes(inst)]
-    return math.fsum(terms)
+    return math.fsum(w * max(m[f - 1, l] for f in files)
+                     for (l, files), w in message_weights(inst, rate_fn).items())
 
 
 def distinct_demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
@@ -206,8 +233,8 @@ def distinct_demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], f
         yield combo, float(prob)
 
 
-def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> float:
-    """Expected rate_mccs given that all K requests are distinct.
+def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:
+    """Expected ``rate(demand, a)`` given that all K requests are distinct.
 
     Uses the renormalized product measure on all-distinct demands; requires
     K <= N for the conditioning event to be possible.
@@ -215,12 +242,13 @@ def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> floa
     if inst.n_users > inst.n_files:
         raise ValueError("all-distinct conditioning requires K <= N")
     m = as_matrix(a)
-    num = []
-    den = []
-    for rep, w in distinct_demand_classes(inst):
-        num.append(w * rate_mccs(rep, m))
-        den.append(w)
-    total = math.fsum(den)
+    classes = list(distinct_demand_classes(inst))
+    total = math.fsum(w for _, w in classes)
     if total == 0.0:
         raise ValueError("all-distinct demands have zero probability")
-    return math.fsum(num) / total
+    return math.fsum(w * rate(rep, m) for rep, w in classes) / total
+
+
+def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> float:
+    """Expected rate_mccs given that all K requests are distinct."""
+    return conditional_expected_distinct(inst, a, rate_mccs)

@@ -78,6 +78,8 @@ class Instance:
         p = np.asarray(self.popularity, dtype=float)
         if p.shape != (self.n_files,):
             raise ValueError("popularity length must equal n_files")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("popularity must be finite")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"popularity must sum to 1 (off by {p.sum() - 1.0:.3e})")
         if np.any(p < 0):
@@ -91,6 +93,8 @@ class Instance:
         sizes = np.asarray(sizes, dtype=float)
         if sizes.shape != (self.n_files,):
             raise ValueError("file_sizes length must equal n_files")
+        if not np.all(np.isfinite(sizes)):
+            raise ValueError("file_sizes must be finite")
         if np.any(sizes <= 0):
             raise ValueError("file_sizes must be positive")
         object.__setattr__(self, "file_sizes", _freeze(sizes))
@@ -263,7 +267,7 @@ class DistinctSet:
 class Violation:
     """One violated placement constraint with its residual."""
 
-    constraint: str  # 'shape' | 'nonnegative' | 'partition' | 'cache'
+    constraint: str  # 'shape' | 'finite' | 'nonnegative' | 'partition' | 'cache'
     detail: str
     residual: float
 
@@ -344,11 +348,18 @@ def solve_placement(problem: LpProblem, inst: Instance) -> tuple[float, Placemen
 
 
 def validate_placement(inst: Instance, a: PlacementLike) -> list[Violation]:
-    """Check partition, cache-budget, and nonnegativity; empty list = feasible."""
+    """Check finiteness, partition, cache budget and nonnegativity; empty list = feasible.
+
+    Each NaN or infinite entry is a 'finite' violation with residual inf; the
+    other checks are skipped then, since they compare sums of the entries.
+    """
     m = as_matrix(a)
     expected = (inst.n_files, inst.n_users + 1)
     if m.shape != expected:
         return [Violation("shape", f"matrix shape {m.shape}, expected {expected}", 0.0)]
+    if not np.all(np.isfinite(m)):
+        return [Violation("finite", f"a[{n + 1},{l}] = {m[n, l]}", math.inf)
+                for n, l in zip(*np.nonzero(~np.isfinite(m)))]
     out: list[Violation] = []
     for n in range(inst.n_files):
         for l in range(inst.n_users + 1):

@@ -14,21 +14,20 @@ the search: the family includes the empty-first-group boundary (n_o = 0, a
 prefix split between the server and one cache level), where the optimum can
 sit under strongly skewed popularity, and the search matches the LP on the
 reference instances and on randomized grids.  ``solve_p4_lp`` drops the
-ordering restriction and handles nonuniform file sizes through a deduplicated
-epigraph LP over demand classes.
+ordering restriction and handles nonuniform file sizes through an epigraph LP
+with one variable per (message level, requested-file set).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
 from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import g_coefficients, rate_from_coefficients
-from .delivery import demand_classes, leader_group
+from .delivery import message_weights
 from .lp import SizeGuardError
 from .model import Instance, Placement, binom, placement_program, solve_placement
 
@@ -337,38 +336,20 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
 def solve_p4_lp(inst: Instance) -> LpOptimum:
     """Exact average-rate minimization for nonuniform sizes, no order restriction.
 
-    One epigraph variable per distinct (message level, requested-file multiset)
-    pair bounds the padded message size; its objective weight aggregates the
-    probability-weighted count of matching subsets over all demand classes.
+    One epigraph variable per (message level, requested-file set) key of
+    ``message_weights`` bounds the padded message size, with one row per file
+    in the set; its objective weight is the key's expected message count.
     """
     n, k = inst.n_files, inst.n_users
     if k > P4_MAX_USERS or n > P4_MAX_FILES:
         raise SizeGuardError(
             f"unrestricted placement LP guarded to K <= {P4_MAX_USERS}, N <= {P4_MAX_FILES}")
-
-    weights: dict[tuple[int, tuple[int, ...]], float] = {}
-    for rep, prob in demand_classes(inst):
-        leaders = set(leader_group(rep).users)
-        for size in range(1, k + 1):
-            for subset in combinations(range(1, k + 1), size):
-                if not leaders.intersection(subset):
-                    continue
-                key = (size - 1, tuple(sorted(rep[u - 1] for u in subset)))
-                weights[key] = weights.get(key, 0.0) + prob
-
-    keys = sorted(weights)
+    weights = message_weights(inst, "mccs")
     n_a = n * (k + 1)
-    c = np.zeros(n_a + len(keys))
-    n_rows = sum(len(set(files)) for _, files in keys)
-    lhs = np.zeros((n_rows, n_a))
-    owner = np.zeros(n_rows, dtype=int)
-    r = 0
-    for j, (l, files) in enumerate(keys):
-        c[n_a + j] = weights[(l, files)]
-        for f in sorted(set(files)):
-            lhs[r, (f - 1) * (k + 1) + l] = 1.0
-            owner[r] = j
-            r += 1
-    problem = placement_program(inst, c, (lhs, owner))
-    value, placement, iterations = solve_placement(problem, inst)
+    rows = [(j, (f - 1) * (k + 1) + l) for j, (l, files) in enumerate(weights) for f in files]
+    owner, col = np.array(rows).T
+    lhs = np.zeros((len(rows), n_a))
+    lhs[np.arange(len(rows)), col] = 1.0
+    c = np.concatenate([np.zeros(n_a), list(weights.values())])
+    value, placement, iterations = solve_placement(placement_program(inst, c, (lhs, owner)), inst)
     return LpOptimum(placement, value, iterations)

@@ -87,6 +87,12 @@ class TestOptimizeCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_nan_popularity_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--users", "2", "--cache", "1",
+                                 "--popularity", "[NaN, 0.5, 0.5]", "--no-bounds")
+        assert code == 2 and out == ""
+        assert "popularity must be finite" in err
+
     def test_size_guard_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--files", "13", "--users", "8",
                                "--cache", "1", "--zipf", "0.5")
@@ -270,6 +276,15 @@ class TestRateCommand:
                                "--placement", str(path), "--demand", "1,2")
         assert code == 2
         assert "infeasible" in err
+
+    def test_nan_placement_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"placement": [[NaN, 0.5, 0.25], [1, 0, 0], [1, 0, 0]]}')
+        code, out, err = run_cli(capsys, "rate", "--files", "3", "--users", "2",
+                                 "--cache", "1", "--zipf", "0.5",
+                                 "--placement", str(path), "--demand", "1,2")
+        assert code == 2 and out == ""
+        assert "finite: a[1,0] = nan" in err
 
     def optimized_placement(self, capsys, tmp_path, shift=0.0):
         code, out, _ = run_cli(capsys, "optimize", *self.instance_args())

@@ -2,7 +2,8 @@
 
 Each expected file holds the exact output of one command; a refactor that
 keeps the numbers keeps these bytes.  The README sweep is cut to four grid
-points so the suite stays fast.
+points so the suite stays fast; ``sweep_sized`` pins the default ``p4,lb_p5``
+columns of a sweep with nonuniform file sizes.
 """
 
 from pathlib import Path
@@ -23,6 +24,9 @@ COMMANDS = {
     "bound_p1": ("bound", *ZIPF_7_4, "--cache", "2", "--which", "p1"),
     "sweep": ("sweep", *ZIPF_7_4, "--cache", "0", "--variable", "cache",
               "--start", "0", "--stop", "3", "--step", "1"),
+    "sweep_sized": ("sweep", "--files", "6", "--users", "4", "--zipf", "0.56", "--cache", "0",
+                    "--sizes", "[1.5,1.2,1,0.8,2,0.6]", "--variable", "cache",
+                    "--start", "0.5", "--stop", "4.5", "--step", "1"),
     "rate": ("rate", *ZIPF_7_4, "--cache", "1", "--placement", str(GOLDEN / "placement.json"),
              "--demand", "1,1,2,3"),
     "selftest": ("selftest",),

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacheopt.bounds import (
     distinct_set_probability,
@@ -18,13 +20,14 @@ from cacheopt.delivery import (
     distinct_set,
     expected_rate,
     leader_group,
+    message_weights,
     rate_ccs,
     rate_mccs,
     rate_mccs_lemma3,
     redundancy_profile,
 )
 from cacheopt.lp import SizeGuardError
-from cacheopt.model import Instance, binom
+from cacheopt.model import Instance, binom, is_popularity_first
 
 from conftest import random_popularity, random_q_instance
 
@@ -180,13 +183,18 @@ class TestExpectedRate:
         assert expected_rate("mccs", K2_INSTANCE, K2_MATRIX) == pytest.approx(0.92, abs=1e-12)
 
     def test_matches_raw_enumeration(self, rng):
-        for _ in range(5):
-            n, k = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        # reversed rows are not popularity-first: the padded size is the max
+        # entry over the requested files, not the most popular file's entry
+        for _ in range(6):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             inst, a = random_q_instance(n, k, rng)
-            raw = sum(
-                math.prod(inst.popularity[f - 1] for f in d) * rate_mccs(d, a)
-                for d in itertools.product(range(1, n + 1), repeat=k))
-            assert expected_rate("mccs", inst, a) == pytest.approx(raw, abs=1e-12)
+            assert not is_popularity_first(a[::-1])
+            for m in (a, a[::-1]):
+                for scheme, rate in (("mccs", rate_mccs), ("ccs", rate_ccs)):
+                    raw = sum(
+                        math.prod(inst.popularity[f - 1] for f in d) * rate(d, m)
+                        for d in itertools.product(range(1, n + 1), repeat=k))
+                    assert expected_rate(scheme, inst, m) == pytest.approx(raw, abs=1e-12)
 
     def test_uncached_gives_expected_distinct_count(self, rng):
         p = random_popularity(4, rng)
@@ -215,6 +223,31 @@ class TestExpectedRate:
     def test_unknown_rate_fn(self):
         with pytest.raises(ValueError):
             expected_rate("nope", K2_INSTANCE, K2_MATRIX)
+        with pytest.raises(ValueError, match="scheme"):
+            message_weights(K2_INSTANCE, "nope")
+
+
+class TestMessageWeights:
+    def test_worked_example(self):
+        # d = (1,1) w.p. 0.36, (1,2)/(2,1) w.p. 0.48, (2,2) w.p. 0.16
+        assert message_weights(K2_INSTANCE, "mccs") == pytest.approx({
+            (0, (1,)): 0.36 + 0.48, (0, (2,)): 0.48 + 0.16,
+            (1, (1,)): 0.36, (1, (1, 2)): 0.48, (1, (2,)): 0.16})
+        assert message_weights(K2_INSTANCE, "ccs")[(0, (1,))] == pytest.approx(2 * 0.36 + 0.48)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_folds_to_rate_coefficients(self, n, k, seed):
+        # under popularity-first order a message pads to its most popular
+        # file's entry, so summing the table by min(files) gives g and g_ccs
+        p = np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
+        inst = Instance(n, k, 0.0, p / p.sum())
+        coeffs = g_coefficients(inst)
+        for scheme, g in (("mccs", coeffs.g), ("ccs", coeffs.g_ccs)):
+            folded = np.zeros((n, k + 1))
+            for (l, files), w in message_weights(inst, scheme).items():
+                folded[min(files) - 1, l] += w
+            np.testing.assert_allclose(folded, g, rtol=0, atol=1e-12)
 
 
 class TestConditionalDistinct:

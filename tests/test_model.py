@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,15 @@ class TestInstance:
         assert inst.uniform_sizes
         assert not Instance(2, 2, 1.0, [0.6, 0.4], file_sizes=[1.5, 0.5]).uniform_sizes
 
+    def test_rejects_non_finite(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="popularity must be finite"):
+            Instance(3, 2, 1.0, [nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="file_sizes must be finite"):
+            Instance(2, 2, 1.0, [0.6, 0.4], file_sizes=[1.0, nan])
+        with pytest.raises(ValueError, match="file_sizes must be finite"):
+            Instance(2, 2, 1.0, [0.6, 0.4], file_sizes=[1.0, float("inf")])
+
     def test_immutable(self):
         inst = Instance(2, 2, 1.0, [0.6, 0.4])
         with pytest.raises(ValueError):
@@ -160,6 +171,14 @@ class TestValidatePlacement:
         a = np.array([[1.3, -0.1, 0.0], [1.0, 0.0, 0.0]])
         kinds = {v.constraint for v in validate_placement(inst, a)}
         assert "nonnegative" in kinds and "partition" in kinds
+
+    def test_non_finite_entry_reported(self):
+        inst = Instance(3, 2, 1.0, [0.5, 0.3, 0.2])
+        a = np.array([[np.nan, 0.5, 0.25], [1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+        out = validate_placement(inst, a)
+        assert [(v.constraint, v.detail) for v in out] == [
+            ("finite", "a[1,0] = nan"), ("finite", "a[3,0] = inf")]
+        assert all(v.residual == math.inf for v in out)
 
     def test_dimension_mismatch(self):
         inst = Instance(2, 2, 1.0, [0.6, 0.4])

@@ -13,6 +13,7 @@ from cacheopt.model import (
     cache_used,
     is_popularity_first,
     partition_coefficients,
+    solve_placement,
     validate_placement,
     zipf_popularity,
 )
@@ -297,6 +298,19 @@ class TestUnrestrictedLp:
         inst = Instance(8, 3, 1.0, np.full(8, 1 / 8))
         with pytest.raises(SizeGuardError):
             solve_p4_lp(inst)
+
+    def test_one_epigraph_variable_per_file_set(self, monkeypatch):
+        # at (7,4) the (level, file set) keys number 7 + 28 + 63 + 98 = 196;
+        # keying by file multiset gives 329 variables with duplicate rows
+        seen = []
+
+        def record(problem, inst):
+            seen.append(problem.n_vars - inst.n_files * (inst.n_users + 1))
+            return solve_placement(problem, inst)
+
+        monkeypatch.setattr(optimizer, "solve_placement", record)
+        solve_p4_lp(Instance.from_zipf(7, 4, 1.5, 0.56))
+        assert seen == [196]
 
 
 class TestCandidateFamilyGap:
