@@ -193,22 +193,23 @@ def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, .
     if scheme not in ("mccs", "ccs"):
         raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
     n, k = inst.n_files, inst.n_users
-    # user bitmasks ascending: a mask's files extend those of the mask without
-    # its lowest user; a key packs the level above the file bits
+    # user bitmasks ascending: a mask requests its rest's files and its lowest user's, the
+    # smallest (rep is sorted); key = level * (N+1)^K + the files as base-(N+1) digits
+    base, span = n + 1, (n + 1) ** k
     steps = [(mask, mask & (mask - 1), (mask & -mask).bit_length() - 1,
-              (bin(mask).count("1") - 1) << n) for mask in range(1, 1 << k)]
-    files = [0] * (1 << k)
+              (bin(mask).count("1") - 1) * span) for mask in range(1, 1 << k)]
+    codes = [0] * (1 << k)
     packed: dict[int, float] = {}
     for rep, prob in demand_classes(inst):
-        bits = [1 << (f - 1) for f in rep]
         leaders = (1 << k) - 1 if scheme == "ccs" else sum(
             1 << (u - 1) for u in leader_group(rep).users)
         for mask, rest, low, level in steps:
-            files[mask] = files[rest] | bits[low]
+            code, f = codes[rest], rep[low]
+            codes[mask] = code = code if code % base == f else code * base + f
             if mask & leaders:
-                key = level | files[mask]
-                packed[key] = packed.get(key, 0.0) + prob
-    return dict(sorted(((key >> n, tuple(f + 1 for f in range(n) if key >> f & 1)), w)
+                packed[level + code] = packed.get(level + code, 0.0) + prob
+    return dict(sorted(((key // span, tuple(filter(None, (key // base ** i % base
+                                                         for i in range(k))))), w)
                        for key, w in packed.items()))
 
 
