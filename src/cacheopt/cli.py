@@ -14,6 +14,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -162,9 +164,7 @@ _SWEEP_UNIFORM = ("mccs_opt", "ccs_opt", "lb_p1", "lb_p2")
 _SWEEP_SIZED = ("p4", "lb_p5")
 
 
-def _sweep_point(payload) -> dict[str, float]:
-    x, users, cache, pop, sizes, outputs = payload
-    inst = Instance(len(pop), users, cache, np.asarray(pop), np.asarray(sizes))
+def _sweep_point(x: float, inst: Instance, outputs: tuple[str, ...]) -> dict[str, float]:
     row: dict[str, float] = {"x": x}
     if "mccs_opt" in outputs or "ccs_opt" in outputs:
         rep = optimizer.optimize_mccs(inst, with_bounds=False, with_ccs="ccs_opt" in outputs)
@@ -204,23 +204,18 @@ def cmd_sweep(args) -> int:
         if name not in known:
             raise ValueError(f"unknown output column {name!r}")
 
-    jobs = []
-    for x in grid:
-        x = float(x)
-        if args.variable == "cache":
-            jobs.append((x, inst.n_users, x, inst.popularity.tolist(),
-                         inst.file_sizes.tolist(), outputs))
-        else:
-            pop = zipf_popularity(inst.n_files, x)
-            jobs.append((x, inst.n_users, inst.cache_size, pop.tolist(),
-                         inst.file_sizes.tolist(), outputs))
+    xs = [float(x) for x in grid]
+    if args.variable == "cache":
+        points = [replace(inst, cache_size=x) for x in xs]
+    else:
+        points = [replace(inst, popularity=zipf_popularity(inst.n_files, x)) for x in xs]
 
-    workers = _worker_count(len(jobs))
+    workers = _worker_count(len(xs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            rows = list(pool.map(_sweep_point, xs, points, repeat(outputs)))
     else:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = list(map(_sweep_point, xs, points, repeat(outputs)))
 
     header = "x," + ",".join(outputs)
     lines = [header]

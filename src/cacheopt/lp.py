@@ -3,13 +3,15 @@
 Small, deterministic, dependency-free (numpy only).  The placement programs
 have a few hundred columns; the general bound's epigraph has one row per
 ordering of each distinct request set (about 13k rows at N=12, K=4), so tall
-programs are solved through their explicit dual (``solve_via_dual``).  The
-programs are often heavily degenerate (many symmetric files produce identical
+programs are solved through their explicit dual (``solve_via_dual``), whose
+final reduced costs at its slack columns are the primal point.  The programs
+are often heavily degenerate (many symmetric files produce identical
 coefficients) and must solve bit-reproducibly, so a dense tableau simplex
 with a fixed pivot rule is the right tool.  The standard-form tableau is
 built in one allocation and pivoted in place.  Dantzig pricing is used until
 a degeneracy stall is detected, after which Bland's rule guarantees
-termination.
+termination.  Row prices are read off the final reduced costs of the slack
+and artificial columns; no second linear solve is made.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Solve status; when optimal, x, value and the row prices y.
+
+    objective - A^T y >= 0 and ``duals_ub <= 0`` for the ``<=`` rows of the
+    min problem.  Every row block present is priced, redundant rows included.
+    """
+
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
     x: np.ndarray | None
     value: float | None
@@ -81,12 +89,15 @@ class LpSolution:
 
 
 class _Tableau:
-    """Full-tableau simplex state: rows = constraints, last row = reduced costs."""
+    """Full-tableau simplex state: rows of T = constraints, last column = rhs.
+
+    The reduced costs live in ``cost``, one entry per column of T; its last
+    entry is minus the objective value.
+    """
 
     def __init__(self, T: np.ndarray, basis: list[int]):
         self.T = T
         self.basis = basis
-        self.m = T.shape[0]
         self.iterations = 0
         self.cost = np.zeros(T.shape[1])
 
@@ -121,10 +132,10 @@ class _Tableau:
         between plateaus, so the method terminates).
         """
         stall = 0
-        bland = False
         while True:
             if self.iterations > MAX_ITERATIONS:
                 raise RuntimeError("simplex iteration limit exceeded")
+            bland = stall >= DEGENERATE_STALL
             red = self.cost[:-1]
             cand = np.where(eligible & (red < -PIVOT_TOL))[0]
             if cand.size == 0:
@@ -147,13 +158,7 @@ class _Tableau:
                 row = int(tied[np.argmax(colvals[tied])])
             degenerate = self.T[row, -1] <= PIVOT_TOL
             self.pivot(row, col)
-            if degenerate:
-                stall += 1
-                if stall >= DEGENERATE_STALL:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
+            stall = stall + 1 if degenerate else 0
 
 
 def _blocks(problem: LpProblem):
@@ -204,7 +209,7 @@ def solve(problem: LpProblem) -> LpSolution:
             return LpSolution("infeasible", None, None, tab.iterations)
         # pivot residual artificials out, dropping redundant rows
         drop_rows = []
-        for r in range(tab.m):
+        for r in range(len(tab.basis)):
             if is_art[tab.basis[r]]:
                 row = tab.T[r, :-1]
                 nz = np.where((~is_art) & (np.abs(row) > PIVOT_TOL))[0]
@@ -213,10 +218,9 @@ def solve(problem: LpProblem) -> LpSolution:
                 else:
                     drop_rows.append(r)
         if drop_rows:
-            keep = [r for r in range(tab.m) if r not in drop_rows]
+            keep = [r for r in range(len(tab.basis)) if r not in drop_rows]
             tab.T = tab.T[keep]
             tab.basis = [tab.basis[r] for r in keep]
-            tab.m = len(keep)
 
     # phase 2
     costs = np.zeros(n_cols)
@@ -231,39 +235,11 @@ def solve(problem: LpProblem) -> LpSolution:
         if j < n:
             x[j] = tab.T[r, -1]
     value = float(problem.objective @ x)
-    duals_eq, duals_ub = _recover_duals(problem, costs, tab, row_sign)
+    # a slack or artificial column is its (flipped) row's unit vector at cost
+    # 0, so its reduced cost is minus that row's price; dropped rows get one too
+    duals_eq = -row_sign[:m_eq] * tab.cost[n_total:n_total + m_eq] if m_eq else None
+    duals_ub = -tab.cost[n:n_total] if m_ub else None
     return LpSolution("optimal", x, value, tab.iterations, duals_eq, duals_ub)
-
-
-def _recover_duals(problem, costs, tab, row_sign):
-    """Row prices y with B^T y = c_B, mapped back to the caller's rows.
-
-    The basis matrix B is rebuilt from the caller's columns: a structural
-    column is the problem column times the row signs, a slack the signed unit
-    vector of its row.  Every row is kept, so no artificial is basic.
-    """
-    m = row_sign.shape[0]
-    # needs the full original row set; skipped when redundant rows were dropped
-    if tab.m != m:
-        return None, None
-    n = problem.n_vars
-    a_eq, _, a_ub, _ = _blocks(problem)
-    m_eq = a_eq.shape[0]
-    basis = np.array(tab.basis, dtype=int)
-    structural = np.flatnonzero(basis < n)
-    slack = np.flatnonzero(basis >= n)
-    slack_rows = m_eq + basis[slack] - n
-    B = np.zeros((m, m))
-    B[:m_eq, structural] = a_eq[:, basis[structural]]
-    B[m_eq:, structural] = a_ub[:, basis[structural]]
-    B[:, structural] *= row_sign[:, None]
-    B[slack_rows, slack] = row_sign[slack_rows]
-    try:
-        y = np.linalg.solve(B.T, costs[tab.basis])
-    except np.linalg.LinAlgError:
-        return None, None
-    y = y * row_sign
-    return (y[:m_eq] if m_eq else None), (y[m_eq:] if m > m_eq else None)
 
 
 def solve_via_dual(problem: LpProblem) -> LpSolution:
@@ -271,9 +247,10 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
 
     The epigraph bound programs have far more rows than columns, which makes
     the primal tableau needlessly large.  The dual has one row per primal
-    variable; its constraint prices recover a primal optimum.  A recovered
-    point that fails the feasibility or objective check raises RuntimeError
-    with its residual; there is no fallback to the slower direct solve.
+    variable, and the primal optimum x is minus its ``<=`` row prices: the
+    dual's final reduced costs at its slack columns.  A recovered point that
+    fails the feasibility or objective check raises RuntimeError with its
+    residual; there is no fallback to the slower direct solve.
     """
     a_eq, b_eq, a_ub, b_ub = _blocks(problem)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
@@ -289,9 +266,6 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
         return LpSolution("unbounded", None, None, sol.iterations)
     if sol.status == "unbounded":
         return LpSolution("infeasible", None, None, sol.iterations)
-    if sol.duals_ub is None:
-        raise RuntimeError(
-            "solve_via_dual: the primal point could not be recovered from the dual's final basis")
 
     x = -sol.duals_ub
     # largest violation of x >= 0, the equalities and the <= rows; NaN fails

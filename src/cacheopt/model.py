@@ -162,26 +162,6 @@ def ingest_instance(users: int, cache: float, popularity,
 
 
 @dataclass(frozen=True)
-class PlacementVector:
-    """Per-file subfile sizes a_n = (a_{n,0}, ..., a_{n,K}).
-
-    Entries within ENTRY_TOL below zero are clamped to zero; anything more
-    negative is preserved so validate_placement can report it.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float).copy()
-        e[(e < 0) & (e >= -ENTRY_TOL)] = 0.0
-        object.__setattr__(self, "entries", _freeze(e))
-
-    @property
-    def n_users(self) -> int:
-        return self.entries.shape[0] - 1
-
-
-@dataclass(frozen=True)
 class Placement:
     """All N placement vectors as an (N, K+1) matrix, tied to an instance."""
 
@@ -195,10 +175,6 @@ class Placement:
             raise ValueError(f"placement matrix shape {m.shape}, expected {expected}")
         m[(m < 0) & (m >= -ENTRY_TOL)] = 0.0
         object.__setattr__(self, "matrix", _freeze(m))
-
-    def vector(self, n: int) -> PlacementVector:
-        """Placement vector of file n (1-based)."""
-        return PlacementVector(self.matrix[n - 1])
 
 
 PlacementLike = Union[Placement, np.ndarray, Sequence[Sequence[float]]]

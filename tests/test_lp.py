@@ -134,22 +134,22 @@ class TestDualRoute:
 
 class TestSolutionQuality:
     def test_residuals_and_duals(self, rng):
-        for _ in range(25):
-            prob = random_problem(rng)
+        # a duplicated equality row is dropped in phase 1 and must still be priced
+        redundant = LpProblem(objective=[1.0, 2.0, 0.5],
+                              eq_lhs=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], eq_rhs=[1.0, 2.0],
+                              ub_lhs=[[0.0, 1.0, 1.0]], ub_rhs=[3.0])
+        for prob in [redundant] + [random_problem(rng) for _ in range(25)]:
             sol = solve(prob)
-            if not sol.optimal:
-                continue
+            assert sol.optimal
             x = sol.x
             if prob.eq_lhs is not None:
                 assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) <= 1e-9
             assert np.max(prob.ub_lhs @ x - prob.ub_rhs) <= 1e-9
             assert np.min(x) >= -1e-12
-            # strong duality from the recovered row prices
-            dual_val = 0.0
-            if sol.duals_eq is not None:
+            # strong duality from the row prices; every row block has its prices
+            dual_val = float(sol.duals_ub @ prob.ub_rhs)
+            if prob.eq_lhs is not None:
                 dual_val += float(sol.duals_eq @ prob.eq_rhs)
-            if sol.duals_ub is not None:
-                dual_val += float(sol.duals_ub @ prob.ub_rhs)
             assert dual_val == pytest.approx(sol.value, abs=1e-8)
 
     def test_complementary_slackness(self, rng):

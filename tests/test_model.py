@@ -8,7 +8,6 @@ from cacheopt.model import (
     DistinctSet,
     Instance,
     Placement,
-    PlacementVector,
     cache_used,
     ingest_popularity,
     is_popularity_first,
@@ -213,10 +212,9 @@ class TestPopularityFirst:
 
 class TestSmallTypes:
     def test_placement_vector_clamps_tiny_negatives(self):
-        v = PlacementVector(np.array([1.0, -5e-13, 0.0]))
-        assert v.entries[1] == 0.0
-        v2 = PlacementVector(np.array([1.0, -1e-6, 0.0]))
-        assert v2.entries[1] == -1e-6
+        inst = Instance(1, 2, 1.0, [1.0])
+        assert Placement(np.array([[1.0, -5e-13, 0.0]]), inst).matrix[0, 1] == 0.0
+        assert Placement(np.array([[1.0, -1e-6, 0.0]]), inst).matrix[0, 1] == -1e-6
 
     def test_placement_shape_checked(self):
         inst = Instance(2, 2, 1.0, [0.6, 0.4])
