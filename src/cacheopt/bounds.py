@@ -133,10 +133,10 @@ def _epigraph_problem(inst: Instance) -> LpProblem:
     c = np.zeros(n_a + len(dsets))
     lhs = np.zeros((n_rows, n_a))
     owner = np.zeros(n_rows, dtype=int)
+    w = _position_weights(k, min(n, k))  # rows do not depend on |D|
     r = 0
     for j, d in enumerate(dsets):
         c[n_a + j] = distinct_set_probability(inst, d)
-        w = _position_weights(k, len(d))
         for perm in permutations(d):
             for pos, f in enumerate(perm):
                 lhs[r, (f - 1) * (k + 1):(f - 1) * (k + 1) + k] = w[pos]
@@ -171,9 +171,9 @@ def p2_objective(inst: Instance) -> np.ndarray:
     """
     n, k = inst.n_files, inst.n_users
     w = np.zeros((n, k + 1))
+    pw = _position_weights(k, min(n, k))  # rows do not depend on |D|
     for d in enumerate_distinct_sets(inst):
         prob = distinct_set_probability(inst, d)
-        pw = _position_weights(k, len(d))
         for pos, f in enumerate(d):  # d sorted ascending = popularity order
             w[f - 1, :k] += prob * pw[pos]
     return w

@@ -111,6 +111,16 @@ class Instance:
         return cls(n_files, n_users, cache_size, zipf_popularity(n_files, theta))
 
 
+def _json_count(doc: dict, key: str) -> int:
+    """A whole-number JSON field: 2 and 2.0 pass; 2.7, true and "2" are rejected, not truncated."""
+    value = doc[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f'instance JSON "{key}" must be a whole number, got {json.dumps(value)}')
+
+
 def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     """Build an Instance from its JSON form.
 
@@ -127,7 +137,7 @@ def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     if not isinstance(doc, dict):
         raise ValueError("instance JSON must be an object")
     try:
-        users = int(doc["users"])
+        users = _json_count(doc, "users")
         cache = float(doc["cache"])
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
@@ -136,7 +146,7 @@ def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     elif "zipf_theta" in doc:
         if "files" not in doc:
             raise ValueError('instance JSON with "zipf_theta" needs "files"')
-        pop = zipf_popularity(int(doc["files"]), float(doc["zipf_theta"]))
+        pop = zipf_popularity(_json_count(doc, "files"), float(doc["zipf_theta"]))
     else:
         raise ValueError('instance JSON needs "popularity" or "zipf_theta"')
     sizes = np.asarray(doc["sizes"], dtype=float) if "sizes" in doc else None
@@ -148,6 +158,8 @@ def ingest_instance(users: int, cache: float, popularity,
     """Instance from user-supplied vectors: sorts by popularity, forgives
     rounding in the normalization, and keeps sizes aligned with their files."""
     pop = np.asarray(popularity, dtype=float)
+    if pop.ndim != 1:
+        raise ValueError("popularity must be a 1-D array of per-file probabilities")
     if sizes is None:
         sizes = np.ones(pop.shape[0])
     sizes = np.asarray(sizes, dtype=float)

@@ -3,11 +3,13 @@
 Optimal popularity-first placements cluster the files into at most three
 groups sharing a placement vector: a most-popular group cached across user
 subsets, possibly a middle group split between one cache level and the
-server, and a tail group left at the server.  The search instantiates every
-candidate of that shape from closed-form constructions over the tuple grid
-(n_o, n_1, l_o, l_1), scores each with the polynomial-time average-rate
-expression, and keeps the minimizer.  Candidates whose formulas leave their
-validity ranges (or produce a negative entry) are skipped, never clamped.
+server, and a tail group left at the server.  Two closed forms build every
+candidate of that shape: ``one_group_candidate`` (a prefix at its uniform
+split) and ``two_group_candidate`` over (n_o, n_top, l_o, l_1), where
+l_1 = l_o is case 2i and n_top < N adds the server tail.  Each candidate is
+labelled (kind, n_o, n_1) by the runs of identical rows its matrix realizes,
+scored with the polynomial-time average-rate expression, and the minimizer
+kept.  Tuples outside their validity ranges are skipped, never clamped.
 
 ``solve_p3_lp`` solves the same minimization exactly as an LP and certifies
 the search: the family includes the empty-first-group boundary (n_o = 0, a
@@ -50,7 +52,8 @@ class GroupingCandidate:
 
     @property
     def n_groups(self) -> int:
-        return len({row.tobytes() for row in np.ascontiguousarray(self.matrix)})
+        """Runs of identical rows; popularity-first order keeps equal rows adjacent."""
+        return {"one_group": 1, "three_group": 3}.get(self.kind, 2)
 
     def sort_key(self) -> tuple:
         n1 = self.n_1 if self.n_1 is not None else 0
@@ -105,6 +108,24 @@ def _server_row(k: int) -> np.ndarray:
     return e
 
 
+def _labelled(matrix: np.ndarray, l_o: int | None, l_1: int | None) -> GroupingCandidate:
+    """Candidate labelled by the runs of identical rows its matrix realizes
+    (n_o, n_1 are the run ends): boundary tuples can collapse neighbouring
+    groups, so the constructor arguments do not name the grouping."""
+    m = np.ascontiguousarray(matrix)
+    breaks = [fi + 1 for fi in range(m.shape[0] - 1)
+              if m[fi].tobytes() != m[fi + 1].tobytes()]
+    if not breaks:
+        return GroupingCandidate("one_group", m.shape[0], None, l_o, l_1, matrix)
+    if len(breaks) == 1:
+        if m[-1, 0] == 1.0 and not m[-1, 1:].any():
+            kind = "two_group_server"
+        else:
+            kind = "two_group_2ii" if l_1 is not None else "two_group_2i"
+        return GroupingCandidate(kind, breaks[0], None, l_o, l_1, matrix)
+    return GroupingCandidate("three_group", breaks[0], breaks[1], l_o, l_1, matrix)
+
+
 def one_group_candidate(inst: Instance, n_o: int) -> GroupingCandidate | None:
     """Files 1..n_o share the uniform-split vector; the rest stay at the server.
 
@@ -121,64 +142,28 @@ def one_group_candidate(inst: Instance, n_o: int) -> GroupingCandidate | None:
         return None
     matrix = np.vstack([np.tile(prefix, (n_o, 1)),
                         np.tile(_server_row(k), (n - n_o, 1))]) + 0.0
-    kind = "one_group" if n_o == n else "two_group_server"
-    l_o = int(math.floor(v + _TOL))
-    return GroupingCandidate(kind, n_o, None, l_o, None, matrix)
+    return _labelled(matrix, int(math.floor(v + _TOL)), None)
 
 
-def two_group_case2i(inst: Instance, n_o: int, l_o: int,
-                     n_top: int | None = None) -> GroupingCandidate | None:
-    """First group fully cached at one level; second group split with the server.
+def two_group_candidate(inst: Instance, n_o: int, l_o: int, l_1: int,
+                        n_top: int | None = None) -> GroupingCandidate | None:
+    """Files 1..n_o share e1, n_o+1..n_top split between the server and level
+    l_o, and the rest stay at the server (n_top defaults to N).
 
-    a_{n,l_o} = 1/C(K,l_o) for n <= n_o; file n_o+1..n_top put fraction t of
-    the cache level and keep 1-t at the server, t = (KM/l_o - n_o)/(n_top - n_o).
-    Valid while l_o lies between KM/n_top and KM/n_o (boundaries degenerate
-    gracefully into neighbouring cases).  n_o may be 0: the first group is then
-    empty, files 1..n_top are split with t = KM/(l_o n_top), and the KM/n_o
-    bracket is void.
+    t and s follow from the partition and exact-cache identities: e1 holds
+    t/C(K,l_o) at l_o and s/C(K,l_1) at l_1, the split rows 1-t at the server
+    and t/C(K,l_o) at l_o.  Either l_o >= KM/n_top and l_1 <= KM/n_o, or the
+    reverse.  l_1 == l_o is case 2i (first group fully at l_o), the only case
+    that allows n_o = 0: an empty first group, with no KM/n_o bracket.
     """
     k, n = inst.n_users, inst.n_files
     top = n if n_top is None else n_top
-    if not (0 <= n_o < top <= n) or not 1 <= l_o <= k:
+    if not (0 <= n_o < top <= n and 1 <= l_o <= k and 1 <= l_1 <= k) or (
+            n_o == 0 and l_1 != l_o):
         return None
     km = inst.cache_size * k
-    if l_o < km / top - _TOL or (n_o > 0 and l_o > km / n_o + _TOL):
-        return None
-    t = (km / l_o - n_o) / (top - n_o)
-    if not -_TOL <= t <= 1 + _TOL:
-        return None
-    t = min(max(t, 0.0), 1.0)
-    e1 = np.zeros(k + 1)
-    e1[l_o] = 1.0 / binom(k, l_o)
-    e2 = np.zeros(k + 1)
-    e2[0] = 1.0 - t
-    e2[l_o] = t / binom(k, l_o)
-    matrix = np.vstack([
-        np.tile(e1, (n_o, 1)),
-        np.tile(e2, (top - n_o, 1)),
-        np.tile(_server_row(k), (n - top, 1)),
-    ]) + 0.0  # clears negative zeros from boundary arithmetic
-    kind = "two_group_2i" if top == n else "three_group"
-    return GroupingCandidate(kind, n_o, None if top == n else top, l_o, None, matrix)
-
-
-def two_group_case2ii(inst: Instance, n_o: int, l_o: int, l_1: int,
-                      n_top: int | None = None) -> GroupingCandidate | None:
-    """First group split over two cache levels; second group over (server, l_o).
-
-    The three unknown entry values follow from the partition and exact-cache
-    identities; position pairs must satisfy one of the two bracketing
-    conditions (l_o above KM/n_top with l_1 below KM/n_o, or the reverse).
-    """
-    k, n = inst.n_users, inst.n_files
-    top = n if n_top is None else n_top
-    if not (1 <= n_o < top <= n) or l_o == l_1:
-        return None
-    if not (1 <= l_o <= k and 1 <= l_1 <= k):
-        return None
-    km = inst.cache_size * k
-    cond_up = l_o >= km / top - _TOL and l_1 <= km / n_o + _TOL
-    cond_dn = l_o <= km / top + _TOL and l_1 >= km / n_o - _TOL
+    cond_up = l_o >= km / top - _TOL and (n_o == 0 or l_1 <= km / n_o + _TOL)
+    cond_dn = n_o > 0 and l_o <= km / top + _TOL and l_1 >= km / n_o - _TOL
     if not (cond_up or cond_dn):
         return None
     den = (l_o / l_1) * top - n_o
@@ -189,43 +174,29 @@ def two_group_case2ii(inst: Instance, n_o: int, l_o: int, l_1: int,
     if t < -_TOL or s < -_TOL or t > 1 + _TOL:
         return None
     t = min(max(t, 0.0), 1.0)
-    s = max(s, 0.0)
     e1 = np.zeros(k + 1)
-    e1[l_o] = t / binom(k, l_o)
-    e1[l_1] = s / binom(k, l_1)
+    if l_1 == l_o:
+        e1[l_o] = 1.0 / binom(k, l_o)  # t/C + s/C is not bit-equal to 1/C
+    else:
+        e1[l_o] = t / binom(k, l_o)
+        e1[l_1] = max(s, 0.0) / binom(k, l_1)
     e2 = np.zeros(k + 1)
     e2[0] = 1.0 - t
-    e2[l_o] = e1[l_o]
+    e2[l_o] = t / binom(k, l_o)
     matrix = np.vstack([
         np.tile(e1, (n_o, 1)),
         np.tile(e2, (top - n_o, 1)),
         np.tile(_server_row(k), (n - top, 1)),
-    ]) + 0.0
-    kind = "two_group_2ii" if top == n else "three_group"
-    return GroupingCandidate(kind, n_o, None if top == n else top, l_o, l_1, matrix)
-
-
-def three_group_candidates(inst: Instance, n_o: int, n_1: int, l_o: int,
-                           l_1: int) -> GroupingCandidate | None:
-    """Three groups: the first two follow the two-group cases over files 1..n_1,
-    and files n_1+1..N stay at the server.
-
-    n_o may be 0 when l_o == l_1 (case 2i with an empty first group; the KM/n_o
-    bracket is then void); case 2ii needs a nonempty first group.
-    """
-    if not 0 <= n_o < n_1 <= inst.n_files - 1:
-        return None
-    if l_o == l_1:
-        return two_group_case2i(inst, n_o, l_o, n_top=n_1)
-    return two_group_case2ii(inst, n_o, l_o, l_1, n_top=n_1)
+    ]) + 0.0  # clears negative zeros from boundary arithmetic
+    return _labelled(matrix, l_o, None if l_1 == l_o else l_1)
 
 
 def enumerate_candidates(inst: Instance) -> list[GroupingCandidate]:
     """All valid closed-form candidates, deduplicated by realized placement.
 
-    Boundary parameter values make different generators emit identical
-    matrices; the first producer wins, and the enumeration runs from the
-    simplest structure up so collapsed candidates keep their natural labels.
+    Boundary tuples can emit identical matrices; the first producer (and its
+    l_o, l_1) wins.  One-group prefixes come first, then the split-with-server
+    family with n_top = N before the three-group tops 1..N-1.
     """
     n, k = inst.n_files, inst.n_users
     out: list[GroupingCandidate] = []
@@ -241,43 +212,12 @@ def enumerate_candidates(inst: Instance) -> list[GroupingCandidate]:
 
     for n_o in range(1, n + 1):
         add(one_group_candidate(inst, n_o))
-    for n_o in range(n):
-        for l_o in range(1, k + 1):
-            add(two_group_case2i(inst, n_o, l_o))
-            for l_1 in range(1, k + 1):
-                if l_1 != l_o:
-                    add(two_group_case2ii(inst, n_o, l_o, l_1))
-    for n_1 in range(1, n):
-        for n_o in range(n_1):
+    for top in (n, *range(1, n)):
+        for n_o in range(top):
             for l_o in range(1, k + 1):
                 for l_1 in range(1, k + 1):
-                    add(three_group_candidates(inst, n_o, n_1, l_o, l_1))
+                    add(two_group_candidate(inst, n_o, l_o, l_1, n_top=top))
     return out
-
-
-def _canonical(cand: GroupingCandidate) -> GroupingCandidate:
-    """Relabel a candidate by the grouping its matrix actually realizes.
-
-    Boundary parameter values can collapse neighbouring groups; tie-breaking
-    and reporting use the realized runs of identical rows, not the generator
-    arguments.
-    """
-    m = np.ascontiguousarray(cand.matrix)
-    breaks = [fi + 1 for fi in range(m.shape[0] - 1)
-              if m[fi].tobytes() != m[fi + 1].tobytes()]
-    if not breaks:
-        return replace(cand, kind="one_group", n_o=m.shape[0], n_1=None)
-    if len(breaks) == 1:
-        server = m[-1, 0] == 1.0 and not m[-1, 1:].any()
-        kind = "two_group_server" if server else cand.kind
-        if kind == "three_group":
-            kind = "two_group_2ii" if cand.l_1 is not None else "two_group_2i"
-        return replace(cand, kind=kind, n_o=breaks[0], n_1=None)
-    return replace(cand, kind="three_group", n_o=breaks[0], n_1=breaks[1])
-
-
-def _canonical_candidates(inst: Instance) -> list[GroupingCandidate]:
-    return [_canonical(cand) for cand in enumerate_candidates(inst)]
 
 
 def _best(cands: list[GroupingCandidate], coef: np.ndarray) -> GroupingCandidate:
@@ -297,7 +237,7 @@ def optimize_ccs(inst: Instance) -> GroupingCandidate:
     """Best placement for the all-subsets baseline scheme (same candidate family)."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes")
-    return _best(_canonical_candidates(inst), g_coefficients(inst).g_ccs)
+    return _best(enumerate_candidates(inst), g_coefficients(inst).g_ccs)
 
 
 def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
@@ -305,7 +245,7 @@ def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
     """Grouping search for the redundancy-removing scheme, with bound context."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes; see solve_p4_lp")
-    cands = _canonical_candidates(inst)
+    cands = enumerate_candidates(inst)
     coeffs = g_coefficients(inst)
     best = _best(cands, coeffs.g)
     rate_ccs = _best(cands, coeffs.g_ccs).rate if with_ccs else None

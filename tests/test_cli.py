@@ -81,9 +81,10 @@ class TestOptimizeCommand:
         doc = json.loads(out)
         assert doc["file_order"] == [5, 7, 6, 4, 3, 2, 1]
 
-    def test_malformed_input_exit_2(self, capsys):
+    @pytest.mark.parametrize("popularity", ["not json", "0.5"], ids=["not-json", "scalar"])
+    def test_malformed_input_exit_2(self, capsys, popularity):
         code, _, err = run_cli(capsys, "optimize", "--files", "3", "--users", "2",
-                               "--cache", "0.5", "--popularity", "not json")
+                               "--cache", "0.5", "--popularity", popularity)
         assert code == 2
         assert err.startswith("error:")
 

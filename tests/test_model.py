@@ -121,6 +121,10 @@ class TestInstanceJson:
         inst, _ = parse_instance_json('{"users": 4, "cache": 1, "zipf_theta": 0.56, "files": 7}')
         assert np.allclose(inst.popularity, zipf_popularity(7, 0.56))
 
+    def test_integral_float_counts(self):
+        inst, _ = parse_instance_json('{"users": 2.0, "cache": 1, "zipf_theta": 0.5, "files": 4.0}')
+        assert (inst.n_files, inst.n_users) == (4, 2)
+
     def test_sizes_follow_sort_order(self):
         inst, order = parse_instance_json(
             '{"users": 2, "cache": 1.0, "popularity": [0.4, 0.6], "sizes": [2.0, 3.0]}')
@@ -133,10 +137,22 @@ class TestInstanceJson:
         '{"users": 2, "cache": 1.0}',
         '{"users": 2, "cache": 1.0, "zipf_theta": 1.0}',
         '{"users": 2, "cache": 1.0, "popularity": [0.6, 0.4], "sizes": [1.0]}',
+        '{"users": 2, "cache": 1.0, "popularity": 0.5}',
+        '{"users": 2, "cache": 1.0, "popularity": [[0.5, 0.5]]}',
+        '{"users": 2.7, "cache": 1.0, "popularity": [0.6, 0.4]}',
+        '{"users": true, "cache": 1.0, "popularity": [0.6, 0.4]}',
+        '{"users": "2", "cache": 1.0, "popularity": [0.6, 0.4]}',
+        '{"users": 2, "cache": 1.0, "zipf_theta": 1.0, "files": 4.9}',
     ])
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_instance_json(text)
+
+    @pytest.mark.parametrize("popularity", ["0.5", "[[0.5, 0.5]]"])
+    def test_popularity_must_be_1d(self, popularity):
+        # a 2-D vector used to be reported as a sizes mismatch without sizes
+        with pytest.raises(ValueError, match="popularity must be a 1-D"):
+            parse_instance_json(f'{{"users": 2, "cache": 1.0, "popularity": {popularity}}}')
 
 
 class TestValidatePlacement:

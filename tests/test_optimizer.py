@@ -24,9 +24,7 @@ from cacheopt.optimizer import (
     optimize_mccs,
     solve_p3_lp,
     solve_p4_lp,
-    three_group_candidates,
-    two_group_case2i,
-    two_group_case2ii,
+    two_group_candidate,
 )
 
 from conftest import random_popularity
@@ -69,7 +67,7 @@ class TestTwoGroupSplitServer:
     def test_published_three_group_block(self):
         # files 1..5 fully at level 3, file 6 split with the server, rest uncached
         inst = Instance.from_zipf(9, 4, 4.0, 1.2)
-        cand = two_group_case2i(inst, 5, 3, n_top=6)
+        cand = two_group_candidate(inst, 5, 3, 3, n_top=6)
         assert cand is not None
         assert np.allclose(np.round(cand.matrix[5], 4), [0.6667, 0, 0, 0.0833, 0])
         assert np.allclose(cand.matrix[:5, 3], 0.25)
@@ -78,21 +76,21 @@ class TestTwoGroupSplitServer:
     def test_boundary_full_absorption(self):
         # KM/l_o equal to the group size: the second group fills the level fully
         inst = Instance(4, 2, 2.0, [0.4, 0.3, 0.2, 0.1])
-        cand = two_group_case2i(inst, 2, 1)
+        cand = two_group_candidate(inst, 2, 1, 1)
         assert cand is not None
         assert cand.matrix[3, 0] == pytest.approx(0.0)
 
     def test_boundary_collapse_to_case1(self):
         # KM/l_o equal to n_o: nothing left for the second group
         inst = Instance(4, 2, 1.0, [0.4, 0.3, 0.2, 0.1])
-        cand = two_group_case2i(inst, 2, 1)
+        cand = two_group_candidate(inst, 2, 1, 1)
         assert cand is not None
         assert cand.matrix[2, 0] == pytest.approx(1.0)
         assert cand.matrix[2, 1] == pytest.approx(0.0)
 
     def test_out_of_position_rejected(self):
         inst = Instance.from_zipf(9, 4, 4.0, 1.2)
-        assert two_group_case2i(inst, 5, 1, n_top=6) is None
+        assert two_group_candidate(inst, 5, 1, 1, n_top=6) is None
 
 
 class TestTwoGroupTwoLevels:
@@ -105,7 +103,7 @@ class TestTwoGroupTwoLevels:
                 for l_1 in range(1, 5):
                     if l_1 == l_o:
                         continue
-                    cand = two_group_case2ii(inst, n_o, l_o, l_1)
+                    cand = two_group_candidate(inst, n_o, l_o, l_1)
                     if cand is None:
                         continue
                     found += 1
@@ -122,7 +120,7 @@ class TestTwoGroupTwoLevels:
                 for l_1 in range(1, 5):
                     if l_1 == l_o:
                         continue
-                    cand = two_group_case2ii(inst, n_o, l_o, l_1)
+                    cand = two_group_candidate(inst, n_o, l_o, l_1)
                     if cand is not None:
                         rates.append(avg_rate_closed(inst, cand.matrix))
         # the full search may use other shapes; the 2-level family is never better
@@ -132,14 +130,17 @@ class TestTwoGroupTwoLevels:
 class TestThreeGroups:
     def test_published_block(self):
         inst = Instance.from_zipf(9, 4, 4.0, 1.2)
-        cand = three_group_candidates(inst, 5, 6, 3, 3)
+        cand = two_group_candidate(inst, 5, 3, 3, n_top=6)
         assert cand is not None
         assert np.allclose(cand.matrix[6:, 0], 1.0)
         assert np.allclose(cand.matrix[6:, 1:], 0.0)
 
     def test_requires_room_for_third_group(self):
+        # n_top = N leaves no server tail: the same tuple is the two-group case 2i
         inst = Instance.from_zipf(9, 4, 4.0, 1.2)
-        assert three_group_candidates(inst, 5, 9, 3, 3) is None
+        cand = two_group_candidate(inst, 5, 3, 3, n_top=9)
+        assert cand is not None
+        assert (cand.kind, cand.n_o, cand.n_1) == ("two_group_2i", 5, None)
 
     def test_enumeration_matches_tuple_budget(self):
         inst = Instance.from_zipf(9, 4, 4.0, 1.2)
@@ -202,6 +203,8 @@ class TestOptimize:
                     inst.cache_size, abs=1e-12)
                 assert is_popularity_first(cand.matrix)
                 assert len(distinct_rows(cand.matrix, 1e-12)) <= 3
+                exact = {row.tobytes() for row in np.ascontiguousarray(cand.matrix)}
+                assert cand.n_groups == len(exact)
                 assert validate_placement(inst, cand.matrix) == []
 
     def test_deterministic(self):
