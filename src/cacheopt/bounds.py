@@ -8,7 +8,10 @@ linear programs:
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
-  one constraint per ordering (all |D|! of them are enumerated).
+  one constraint per ordering.  The |D|! ordering rows are tabulated once, but
+  the LP is solved over the rows it needs only: starting from each set's
+  popularity order, every round adds each set's best ordering at the last
+  placement while it beats that set's rows so far (a cutting-plane loop).
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed.
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .delivery import conditional_expected_distinct
-from .lp import LpProblem, SizeGuardError
+from .lp import PIVOT_TOL, LpProblem, SizeGuardError
 from .model import (
     DistinctSet,
     Instance,
@@ -59,6 +62,16 @@ def _position_weights(n_users: int, size: int) -> np.ndarray:
                      for i in range(1, size + 1)], dtype=float)
 
 
+def _orderings(size: int) -> np.ndarray:
+    """Every ordering of range(size), one per row, the identity first.
+
+    Entry [r, i] is the index placed at position i + 1 by ordering r; uint8
+    keeps the 10! orderings allowed by MAX_DISTINCT_SET at 36 MB.
+    """
+    flat = chain.from_iterable(permutations(range(size)))
+    return np.fromiter(flat, np.uint8, size * math.factorial(size)).reshape(-1, size)
+
+
 def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
     """Per-distinct-set bound: best ordering over all |D|! bijections."""
     files = _distinct_files(D)
@@ -68,12 +81,11 @@ def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
     k = m.shape[1] - 1
     w = _position_weights(k, len(files))
     scores = m[[f - 1 for f in files], :k] @ w.T  # scores[j, i-1]: file j at position i
-    best = -math.inf
-    for perm in permutations(range(len(files))):
-        val = sum(scores[f_idx, pos] for pos, f_idx in enumerate(perm))
-        if val > best:
-            best = val
-    return float(best)
+    perms = _orderings(len(files))
+    rates = np.zeros(perms.shape[0])
+    for pos in range(perms.shape[1]):  # one |D|!-long temporary at a time
+        rates += scores[perms[:, pos], pos]
+    return float(rates.max())
 
 
 def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
@@ -121,28 +133,73 @@ class BoundResult:
     iterations: int = 0
 
 
-def _epigraph_problem(inst: Instance) -> LpProblem:
-    """The P1/P5 epigraph LP: t_D >= the rate of every ordering of D."""
+def _ordering_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, lhs, owner) of the P1/P5 epigraph: one row per ordering of each D.
+
+    Row r is lhs[r] @ a - t[owner[r]] <= 0.  Rows are grouped by D, sets
+    by size then lexicographically, and each group starts with the
+    popularity order; c holds the objective over [a | t].
+    """
     n, k = inst.n_files, inst.n_users
     n_a = n * (k + 1)
     dsets = list(enumerate_distinct_sets(inst))
-    n_rows = sum(math.factorial(len(d)) for d in dsets)
+    counts = np.array([math.factorial(len(d)) for d in dsets])
+    n_rows = int(counts.sum())
     if n_rows > MAX_PERMUTATION_ROWS:
         raise SizeGuardError(
             f"{n_rows} ordering constraints exceed the {MAX_PERMUTATION_ROWS}-row guard")
     c = np.zeros(n_a + len(dsets))
-    lhs = np.zeros((n_rows, n_a))
-    owner = np.zeros(n_rows, dtype=int)
-    w = _position_weights(k, min(n, k))  # rows do not depend on |D|
-    r = 0
-    for j, d in enumerate(dsets):
-        c[n_a + j] = distinct_set_probability(inst, d)
-        for perm in permutations(d):
-            for pos, f in enumerate(perm):
-                lhs[r, (f - 1) * (k + 1):(f - 1) * (k + 1) + k] = w[pos]
-            owner[r] = j
-            r += 1
+    c[n_a:] = [distinct_set_probability(inst, d) for d in dsets]
+    lhs = np.zeros((n_rows, n, k + 1))
+    w = _position_weights(k, min(n, k))[:, :k]  # rows do not depend on |D|
+    top = 0
+    for size in range(1, min(n, k) + 1):
+        files = np.array([d for d in dsets if len(d) == size]) - 1
+        at = files[:, _orderings(size)]  # at[D, ordering, i]: file at position i + 1
+        rows = top + np.arange(at.shape[0] * at.shape[1]).reshape(at.shape[:2] + (1,))
+        lhs[rows, at, :k] = w[:size]
+        top += rows.size
+    return c, lhs.reshape(n_rows, n_a), np.repeat(np.arange(len(dsets)), counts)
+
+
+def _epigraph_problem(inst: Instance) -> LpProblem:
+    """The full P1/P5 epigraph LP: t_D >= the rate of every ordering of D."""
+    c, lhs, owner = _ordering_table(inst)
     return placement_program(inst, c, (lhs, owner))
+
+
+def _generated_bound(inst: Instance) -> tuple[float, Placement, int]:
+    """Solve the P1/P5 epigraph LP by generating its ordering rows (Kelley).
+
+    Start from the popularity-order row of each D and re-solve, adding each
+    D's best ordering at the last placement while it beats every active row
+    of D by more than PIVOT_TOL.  Every round adds a row of a finite table,
+    so the loop ends.  The last placement then meets every ordering row, and
+    the last program is a relaxation of the full one, so its optimum is the
+    full optimum.  Returns (value, placement, pivots over all rounds).
+    """
+    c, lhs, owner = _ordering_table(inst)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    ends = np.append(starts[1:], owner.shape[0])
+    active = np.zeros(owner.shape[0], dtype=bool)
+    active[starts] = True
+    pivots = 0
+    while True:
+        problem = placement_program(inst, c, (lhs[active], owner[active]))
+        value, placement, iterations = solve_placement(problem, inst)
+        pivots += iterations
+        rates = lhs @ placement.matrix.ravel()
+        gap = (np.maximum.reduceat(rates, starts)
+               - np.maximum.reduceat(np.where(active, rates, -np.inf), starts))
+        violated = np.flatnonzero(gap > PIVOT_TOL)
+        if violated.size == 0:
+            return value, placement, pivots
+        for j in violated:
+            r = starts[j] + int(np.argmax(rates[starts[j]:ends[j]]))
+            if active[r]:
+                raise RuntimeError(f"distinct set {j} is violated but its best ordering "
+                                   "is already active; this is a bug")
+            active[r] = True
 
 
 def _require_uniform(inst: Instance, which: str):
@@ -153,13 +210,13 @@ def _require_uniform(inst: Instance, which: str):
 def lower_bound_p1(inst: Instance) -> BoundResult:
     """General uncoded-placement lower bound on the average rate."""
     _require_uniform(inst, "P1")
-    value, placement, iterations = solve_placement(_epigraph_problem(inst), inst)
+    value, placement, iterations = _generated_bound(inst)
     return BoundResult(value, placement, "P1", iterations)
 
 
 def lower_bound_p5(inst: Instance) -> BoundResult:
     """The general bound with nonuniform file sizes (everything in bits)."""
-    value, placement, iterations = solve_placement(_epigraph_problem(inst), inst)
+    value, placement, iterations = _generated_bound(inst)
     return BoundResult(value, placement, "P5", iterations)
 
 

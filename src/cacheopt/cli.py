@@ -67,11 +67,13 @@ def _add_instance_args(sub: argparse.ArgumentParser):
     sub.add_argument("--sizes", help="file sizes as a JSON array")
 
 
-def _build_instance(args) -> tuple[Instance, np.ndarray]:
+def _build_instance(args, need_cache: bool = True) -> tuple[Instance, np.ndarray]:
+    """The instance the arguments describe; without ``need_cache`` a missing
+    --cache reads as 0, for callers that set the cache size themselves."""
     if args.instance:
         with open(args.instance) as fh:
             return parse_instance_json(fh.read())
-    if args.users is None or args.cache is None:
+    if args.users is None or (args.cache is None and need_cache):
         raise ValueError("need --instance or --users/--cache plus a popularity source")
     if args.popularity is not None:
         pop = np.asarray(json.loads(args.popularity), dtype=float)
@@ -82,7 +84,7 @@ def _build_instance(args) -> tuple[Instance, np.ndarray]:
     else:
         raise ValueError("need --popularity or --zipf")
     sizes = None if args.sizes is None else np.asarray(json.loads(args.sizes), dtype=float)
-    return ingest_instance(int(args.users), float(args.cache), pop, sizes)
+    return ingest_instance(int(args.users), float(args.cache or 0.0), pop, sizes)
 
 
 def _placement_table(matrix: np.ndarray) -> str:
@@ -191,7 +193,10 @@ def _worker_count(n_points: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    inst, _ = _build_instance(args)
+    if args.variable == "theta" and (args.popularity is not None or args.instance):
+        raise ValueError("--variable theta sweeps Zipf(theta) popularity over --files; "
+                         "it cannot take --popularity or --instance")
+    inst, _ = _build_instance(args, need_cache=args.variable != "cache")
     if args.step <= 0:
         raise ValueError("--step must be > 0")
     grid = np.arange(args.start, args.stop + args.step / 2, args.step)

@@ -2,7 +2,7 @@
 
 Small, deterministic, dependency-free (numpy only).  The placement programs
 have a few hundred columns; the general bound's epigraph has one row per
-ordering of each distinct request set (about 13k rows at N=12, K=4), so tall
+generated ordering (about 800 of the 13k orderings at N=12, K=4), so tall
 programs are solved through their explicit dual (``solve_via_dual``), whose
 final reduced costs at its slack columns are the primal point.  The programs
 are often heavily degenerate (many symmetric files produce identical

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cacheopt import bounds as B
+from cacheopt import lp
 from cacheopt.bounds import (
     conditional_expected_bound_distinct,
     distinct_set_probability,
@@ -16,7 +19,7 @@ from cacheopt.bounds import (
     rlb_popfirst,
 )
 from cacheopt.delivery import expected_rate
-from cacheopt.lp import SizeGuardError, solve
+from cacheopt.lp import SizeGuardError, solve, solve_via_dual
 from cacheopt.model import Instance, binom, validate_placement
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
@@ -138,6 +141,39 @@ class TestGeneralBound:
         inst = Instance(12, 5, 1.0, np.full(12, 1 / 12))
         with pytest.raises(SizeGuardError):
             lower_bound_p1(inst)
+
+
+class TestRowGeneration:
+    """P1/P5 generate their ordering rows; the full epigraph LP is the oracle."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 7), k=st.integers(2, 4), cache_frac=st.floats(0.0, 1.0),
+           sized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_epigraph(self, n, k, cache_frac, sized, seed):
+        rng = np.random.default_rng(seed)
+        p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        sizes = rng.uniform(0.5, 2.0, n) if sized else np.ones(n)
+        inst = Instance(n, k, cache_frac * sizes.sum(), p / p.sum(), sizes)
+        res = (lower_bound_p5 if sized else lower_bound_p1)(inst)
+        assert res.value == pytest.approx(
+            solve_via_dual(B._epigraph_problem(inst)).value, abs=1e-9)
+        assert validate_placement(inst, res.placement) == []
+        assert rbar(inst, res.placement.matrix) == pytest.approx(res.value, abs=1e-9)
+
+    def test_solves_a_fraction_of_the_orderings(self, monkeypatch):
+        inst = Instance.from_zipf(9, 4, 1.5, 0.8)
+        n_orderings = sum(math.factorial(len(D)) for D in enumerate_distinct_sets(inst))
+        heights = []
+        direct = lp.solve_via_dual
+
+        def counted(problem):
+            heights.append(problem.ub_lhs.shape[0] - 1)  # less the cache row
+            return direct(problem)
+
+        monkeypatch.setattr(lp, "solve_via_dual", counted)
+        lower_bound_p1(inst)
+        assert n_orderings == 3609
+        assert max(heights) < 0.25 * n_orderings
 
 
 class TestOrderedBound:

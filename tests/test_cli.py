@@ -222,6 +222,30 @@ class TestSweepCommand:
         assert code == 2
         assert "lower_bound_p5" in err
 
+    def test_cache_sweep_needs_no_cache(self, capsys):
+        # every grid point sets the cache size, so --cache is optional here
+        at = self.ARGS.index("--cache")
+        code, out, _ = run_cli(capsys, *self.ARGS[:at], *self.ARGS[at + 2:])
+        assert code == 0
+        assert out == run_cli(capsys, *self.ARGS)[1]
+
+    def test_theta_sweep_rejects_popularity_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--users", "2", "--cache", "1",
+                                 "--popularity", "[0.9, 0.05, 0.05]", "--variable", "theta",
+                                 "--start", "0", "--stop", "0", "--step", "1",
+                                 "--outputs", "mccs_opt")
+        assert code == 2 and out == ""
+        assert "--popularity" in err and len(err.strip().splitlines()) == 1
+
+    def test_theta_sweep_rejects_instance_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"users": 2, "cache": 1, "popularity": [0.9, 0.05, 0.05]}))
+        code, out, err = run_cli(capsys, "sweep", "--instance", str(path), "--variable", "theta",
+                                 "--start", "0", "--stop", "0", "--step", "1",
+                                 "--outputs", "mccs_opt")
+        assert code == 2 and out == ""
+        assert "--instance" in err and len(err.strip().splitlines()) == 1
+
     def test_bad_grid_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--files", "3", "--users", "2",
                                "--cache", "0", "--zipf", "1.0", "--variable", "cache",
