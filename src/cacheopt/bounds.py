@@ -2,16 +2,15 @@
 
 The per-demand bound depends only on the set D of distinct requested files:
 every ordering pi of D yields the rate sum_{l<K} sum_i C(K-i,l) a_{pi(i),l},
-and the bound takes the best ordering.  Averaging over D with the exact
-distinct-set probabilities and minimizing over feasible placements gives three
-linear programs:
+and the bound takes the best ordering, found by a subset DP in |D| 2^(|D|-1)
+steps without listing the |D|! orderings.  Averaging over D with the exact
+distinct-set probabilities and minimizing over feasible placements gives three LPs:
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
-  one constraint per ordering.  The |D|! ordering rows are tabulated once, but
-  the LP is solved over the rows it needs only: starting from each set's
-  popularity order, every round adds each set's best ordering at the last
-  placement while it beats that set's rows so far (a cutting-plane loop).
+  one constraint per ordering, generated only while violated (a cutting-plane
+  loop from each set's popularity order).  MAX_PERMUTATION_ROWS caps
+  sum_D |D|!, the most rows the loop can reach.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed.
@@ -25,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations
+from functools import lru_cache
+from itertools import chain, combinations, groupby
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .delivery import conditional_expected_distinct
-from .lp import PIVOT_TOL, LpProblem, SizeGuardError
+from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     DistinctSet,
     Instance,
@@ -56,36 +56,66 @@ def _distinct_files(D: DistinctLike) -> tuple[int, ...]:
     return tuple(sorted({int(v) for v in D}))
 
 
+@lru_cache(maxsize=None)
 def _position_weights(n_users: int, size: int) -> np.ndarray:
-    """w[i-1, l] = C(K-i, l) for positions i = 1..size and l = 0..K-1."""
-    return np.array([[binom(n_users - i, l) for l in range(n_users)]
-                     for i in range(1, size + 1)], dtype=float)
+    """w[i-1, l] = C(K-i, l) for positions i = 1..size and l = 0..K-1 (read-only)."""
+    w = np.array([[binom(n_users - i, l) for l in range(n_users)]
+                  for i in range(1, size + 1)], dtype=float)
+    w.flags.writeable = False
+    return w
 
 
-def _orderings(size: int) -> np.ndarray:
-    """Every ordering of range(size), one per row, the identity first.
+@lru_cache(maxsize=None)
+def _subset_layers(size: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per position i = 2..size: the subsets of range(size) with i members (bit masks),
+    each without one member j, and j's flat score index j * size + i - 1."""
+    bits = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1
+    layers = []
+    for i in range(2, size + 1):
+        subsets = np.flatnonzero(bits.sum(axis=1) == i)
+        members = np.nonzero(bits[subsets])[1].reshape(-1, i)
+        layers.append((subsets, subsets[:, None] ^ (1 << members), members * size + i - 1))
+    return layers
 
-    Entry [r, i] is the index placed at position i + 1 by ordering r; uint8
-    keeps the 10! orderings allowed by MAX_DISTINCT_SET at 36 MB.
+
+def _best_orderings(scores: np.ndarray, floor: np.ndarray | None = None):
+    """Best orderings of sets of one size, by a DP over subsets (Held-Karp).
+
+    scores[j, i, ...] is the rate of file j at position i + 1; trailing axes
+    index the sets.  best[S] = max_{j in S} best[S - j] + scores[j, |S| - 1]
+    sums from 0.0 one position at a time, as enumeration does, and rounding is
+    monotone, so the max is bit-identical.  Returns the best rates alone when
+    ``floor`` is None, else (rates, sets, orders): sets beat ``floor`` by more
+    than PIVOT_TOL and orders[r, i] is the file at position i + 1 of sets[r].
     """
-    flat = chain.from_iterable(permutations(range(size)))
-    return np.fromiter(flat, np.uint8, size * math.factorial(size)).reshape(-1, size)
+    size = scores.shape[0]
+    flat = scores.reshape((size * size,) + scores.shape[2:])
+    best = np.zeros((1 << size,) + scores.shape[2:])
+    best[1 << np.arange(size)] += scores[:, 0]
+    for subsets, rest, cell in _subset_layers(size):
+        best[subsets] = (best[rest] + flat[cell]).max(axis=1)
+    if floor is None:
+        return best[-1]
+    sets = np.flatnonzero(best[-1] - floor > PIVOT_TOL)
+    orders = np.zeros((sets.size, size), dtype=np.intp)
+    subset, files = np.full(sets.size, (1 << size) - 1), np.arange(size)
+    for i in range(size - 1, -1, -1):  # peel off the file the DP put last
+        steps = best[subset[:, None] ^ (1 << files), sets[:, None]] + scores[:, i, sets].T
+        steps[(subset[:, None] >> files) & 1 == 0] = -np.inf
+        orders[:, i] = steps.argmax(axis=1)
+        subset ^= 1 << orders[:, i]
+    return best[-1], sets, orders
 
 
 def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
-    """Per-distinct-set bound: best ordering over all |D|! bijections."""
+    """Per-distinct-set bound: the best of all |D|! orderings of D."""
     files = _distinct_files(D)
     if len(files) > MAX_DISTINCT_SET:
-        raise SizeGuardError(f"|D| = {len(files)} exceeds the {MAX_DISTINCT_SET}! enumeration guard")
+        raise SizeGuardError(
+            f"|D| = {len(files)} exceeds the {MAX_DISTINCT_SET}-file guard of the best-ordering DP")
     m = as_matrix(a)
-    k = m.shape[1] - 1
-    w = _position_weights(k, len(files))
-    scores = m[[f - 1 for f in files], :k] @ w.T  # scores[j, i-1]: file j at position i
-    perms = _orderings(len(files))
-    rates = np.zeros(perms.shape[0])
-    for pos in range(perms.shape[1]):  # one |D|!-long temporary at a time
-        rates += scores[perms[:, pos], pos]
-    return float(rates.max())
+    scores = m[[f - 1 for f in files], :-1] @ _position_weights(m.shape[1] - 1, len(files)).T
+    return float(_best_orderings(scores))
 
 
 def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
@@ -102,25 +132,32 @@ def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
     return float(sum(w[i] @ m[f - 1, :k] for i, f in enumerate(files)))
 
 
+def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
+    """P(Unique(d) = D) for each row D of zero-based ``files``, by
+    inclusion-exclusion over the subsets of D."""
+    p = [inst.popularity[col] for col in files.T]
+    subsets = chain.from_iterable(combinations(p, r) for r in range(len(p) + 1))
+    return sum(((-1) ** (len(p) - len(sub)) * sum(sub) ** inst.n_users for sub in subsets),
+               np.zeros(len(files)))
+
+
 def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:
     """P(Unique(d) = D) by inclusion-exclusion over subsets of D."""
-    files = _distinct_files(D)
-    p = inst.popularity
-    k = inst.n_users
-    total = 0.0
-    for r in range(len(files) + 1):
-        sign = (-1) ** (len(files) - r)
-        for sub in combinations(files, r):
-            mass = sum(p[f - 1] for f in sub)
-            total += sign * mass ** k
-    return float(total)
+    return float(_set_probabilities(inst, np.array([_distinct_files(D)], dtype=np.intp) - 1)[0])
 
 
 def enumerate_distinct_sets(inst: Instance) -> Iterator[tuple[int, ...]]:
     """All possible distinct sets, by size then lexicographically."""
-    top = min(inst.n_files, inst.n_users)
-    for size in range(1, top + 1):
+    for size in range(1, min(inst.n_files, inst.n_users) + 1):
         yield from combinations(range(1, inst.n_files + 1), size)
+
+
+def _distinct_set_table(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(files, prob) per set size, in enumerate_distinct_sets order: files[d]
+    holds set d's zero-based files and prob[d] its probability."""
+    by_size = groupby(enumerate_distinct_sets(inst), len)
+    files = [np.array(list(group), dtype=np.intp) - 1 for _, group in by_size]
+    return [(f, _set_probabilities(inst, f)) for f in files]
 
 
 @dataclass(frozen=True)
@@ -133,73 +170,49 @@ class BoundResult:
     iterations: int = 0
 
 
-def _ordering_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, lhs, owner) of the P1/P5 epigraph: one row per ordering of each D.
+def _generated_bound(inst: Instance, which: str) -> BoundResult:
+    """Solve the P1/P5 epigraph LP by generating its ordering rows (Kelley).
 
-    Row r is lhs[r] @ a - t[owner[r]] <= 0.  Rows are grouped by D, sets
-    by size then lexicographically, and each group starts with the
-    popularity order; c holds the objective over [a | t].
+    The full LP has a row rate(ordering) <= t_D per ordering of each distinct
+    set D.  Start from each D's popularity-order row; each round adds each D's
+    best ordering at the last placement while it beats D's rows by more than
+    PIVOT_TOL.  The loop ends at a relaxation whose optimum meets every row,
+    the full optimum.  Rows keep the table's order; iterations sums pivots.
     """
-    n, k = inst.n_files, inst.n_users
-    n_a = n * (k + 1)
-    dsets = list(enumerate_distinct_sets(inst))
-    counts = np.array([math.factorial(len(d)) for d in dsets])
-    n_rows = int(counts.sum())
+    n, k, top = inst.n_files, inst.n_users, min(inst.n_files, inst.n_users)
+    n_rows = sum(math.perm(n, size) for size in range(1, top + 1))
     if n_rows > MAX_PERMUTATION_ROWS:
         raise SizeGuardError(
             f"{n_rows} ordering constraints exceed the {MAX_PERMUTATION_ROWS}-row guard")
-    c = np.zeros(n_a + len(dsets))
-    c[n_a:] = [distinct_set_probability(inst, d) for d in dsets]
-    lhs = np.zeros((n_rows, n, k + 1))
-    w = _position_weights(k, min(n, k))[:, :k]  # rows do not depend on |D|
-    top = 0
-    for size in range(1, min(n, k) + 1):
-        files = np.array([d for d in dsets if len(d) == size]) - 1
-        at = files[:, _orderings(size)]  # at[D, ordering, i]: file at position i + 1
-        rows = top + np.arange(at.shape[0] * at.shape[1]).reshape(at.shape[:2] + (1,))
-        lhs[rows, at, :k] = w[:size]
-        top += rows.size
-    return c, lhs.reshape(n_rows, n_a), np.repeat(np.arange(len(dsets)), counts)
-
-
-def _epigraph_problem(inst: Instance) -> LpProblem:
-    """The full P1/P5 epigraph LP: t_D >= the rate of every ordering of D."""
-    c, lhs, owner = _ordering_table(inst)
-    return placement_program(inst, c, (lhs, owner))
-
-
-def _generated_bound(inst: Instance) -> tuple[float, Placement, int]:
-    """Solve the P1/P5 epigraph LP by generating its ordering rows (Kelley).
-
-    Start from the popularity-order row of each D and re-solve, adding each
-    D's best ordering at the last placement while it beats every active row
-    of D by more than PIVOT_TOL.  Every round adds a row of a finite table,
-    so the loop ends.  The last placement then meets every ordering row, and
-    the last program is a relaxation of the full one, so its optimum is the
-    full optimum.  Returns (value, placement, pivots over all rounds).
-    """
-    c, lhs, owner = _ordering_table(inst)
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    ends = np.append(starts[1:], owner.shape[0])
-    active = np.zeros(owner.shape[0], dtype=bool)
-    active[starts] = True
-    pivots = 0
+    table = _distinct_set_table(inst)
+    c = np.concatenate([np.zeros(n * (k + 1))] + [prob for _, prob in table])
+    first = np.cumsum([0] + [len(files) for files, _ in table])  # first set of each size
+    w, radix = _position_weights(k, top), top ** top  # row key: set * radix + ordering digits
+    picks = [(np.arange(len(f)), np.tile(np.arange(f.shape[1]), (len(f), 1))) for f, _ in table]
+    blocks, pivots = [], 0
     while True:
-        problem = placement_program(inst, c, (lhs[active], owner[active]))
-        value, placement, iterations = solve_placement(problem, inst)
+        for (files, _), start, (sets, orders) in zip(table, first, picks):
+            at = np.take_along_axis(files[sets], orders, axis=1)  # file at position i + 1
+            rows = np.zeros((len(sets), n, k + 1))
+            rows[np.arange(len(sets))[:, None], at, :k] = w[:files.shape[1]]
+            key = (start + sets) * radix + orders @ top ** np.arange(files.shape[1])[::-1]
+            blocks.append((rows.reshape(-1, n * (k + 1)), key))
+        lhs, key = (np.concatenate(part) for part in zip(*blocks))
+        unique, index = np.unique(key, return_index=True)
+        if len(unique) < len(key):
+            raise RuntimeError("a violated set's best ordering is already active; this is a bug")
+        lhs, owner = lhs[index], unique // radix
+        value, placement, iterations = solve_placement(
+            placement_program(inst, c, (lhs, owner)), inst)
         pivots += iterations
-        rates = lhs @ placement.matrix.ravel()
-        gap = (np.maximum.reduceat(rates, starts)
-               - np.maximum.reduceat(np.where(active, rates, -np.inf), starts))
-        violated = np.flatnonzero(gap > PIVOT_TOL)
-        if violated.size == 0:
-            return value, placement, pivots
-        for j in violated:
-            r = starts[j] + int(np.argmax(rates[starts[j]:ends[j]]))
-            if active[r]:
-                raise RuntimeError(f"distinct set {j} is violated but its best ordering "
-                                   "is already active; this is a bug")
-            active[r] = True
+        x = placement.matrix
+        beaten = np.full(first[-1], -np.inf)
+        np.maximum.at(beaten, owner, lhs @ x.ravel())
+        picks = [_best_orderings(np.moveaxis(x[files, :k] @ w[:files.shape[1]].T, 0, -1),
+                                 beaten[start:start + len(files)])[1:]
+                 for (files, _), start in zip(table, first)]
+        if not any(len(sets) for sets, _ in picks):
+            return BoundResult(value, placement, which, pivots)
 
 
 def _require_uniform(inst: Instance, which: str):
@@ -210,14 +223,12 @@ def _require_uniform(inst: Instance, which: str):
 def lower_bound_p1(inst: Instance) -> BoundResult:
     """General uncoded-placement lower bound on the average rate."""
     _require_uniform(inst, "P1")
-    value, placement, iterations = _generated_bound(inst)
-    return BoundResult(value, placement, "P1", iterations)
+    return _generated_bound(inst, "P1")
 
 
 def lower_bound_p5(inst: Instance) -> BoundResult:
     """The general bound with nonuniform file sizes (everything in bits)."""
-    value, placement, iterations = _generated_bound(inst)
-    return BoundResult(value, placement, "P5", iterations)
+    return _generated_bound(inst, "P5")
 
 
 def p2_objective(inst: Instance) -> np.ndarray:
@@ -226,13 +237,10 @@ def p2_objective(inst: Instance) -> np.ndarray:
     weight[n, l] = sum over distinct sets containing n of
     prob(D) * C(K - rank_D(n), l), rank taken in popularity order.
     """
-    n, k = inst.n_files, inst.n_users
-    w = np.zeros((n, k + 1))
-    pw = _position_weights(k, min(n, k))  # rows do not depend on |D|
-    for d in enumerate_distinct_sets(inst):
-        prob = distinct_set_probability(inst, d)
-        for pos, f in enumerate(d):  # d sorted ascending = popularity order
-            w[f - 1, :k] += prob * pw[pos]
+    w = np.zeros((inst.n_files, inst.n_users + 1))
+    for files, prob in _distinct_set_table(inst):  # rows ascending = popularity order
+        pw = _position_weights(inst.n_users, files.shape[1])
+        np.add.at(w, (files, slice(inst.n_users)), prob[:, None, None] * pw)
     return w
 
 

@@ -348,26 +348,17 @@ def validate_placement(inst: Instance, a: PlacementLike) -> list[Violation]:
     if not np.all(np.isfinite(m)):
         return [Violation("finite", f"a[{n + 1},{l}] = {m[n, l]}", math.inf)
                 for n, l in zip(*np.nonzero(~np.isfinite(m)))]
-    out: list[Violation] = []
-    for n in range(inst.n_files):
-        for l in range(inst.n_users + 1):
-            if m[n, l] < -ENTRY_TOL:
-                out.append(Violation(
-                    "nonnegative", f"a[{n + 1},{l}] = {m[n, l]:.6g} < 0", float(-m[n, l])))
-    b = partition_coefficients(inst.n_users)
-    sums = m @ b
-    for n in range(inst.n_files):
-        resid = sums[n] - inst.file_sizes[n]
-        if abs(resid) > FEAS_TOL:
-            out.append(Violation(
-                "partition", f"file {n + 1} partitions to {sums[n]:.9g}, "
-                f"expected {inst.file_sizes[n]:.9g}", float(abs(resid))))
-    c = cache_coefficients(inst.n_users)
-    used = float((m @ c).sum())
-    over = used - inst.cache_size
-    if over > FEAS_TOL:
-        out.append(Violation(
-            "cache", f"cache use {used:.9g} exceeds budget {inst.cache_size:.9g}", float(over)))
+    out = [Violation("nonnegative", f"a[{n + 1},{l}] = {m[n, l]:.6g} < 0", float(-m[n, l]))
+           for n, l in np.argwhere(m < -ENTRY_TOL)]  # row-major order
+    sums = m @ partition_coefficients(inst.n_users)
+    resid = np.abs(sums - inst.file_sizes)
+    out += [Violation("partition", f"file {n + 1} partitions to {sums[n]:.9g}, "
+                      f"expected {inst.file_sizes[n]:.9g}", float(resid[n]))
+            for n in np.flatnonzero(resid > FEAS_TOL)]
+    used = float((m @ cache_coefficients(inst.n_users)).sum())
+    if used - inst.cache_size > FEAS_TOL:
+        out.append(Violation("cache", f"cache use {used:.9g} exceeds budget "
+                             f"{inst.cache_size:.9g}", float(used - inst.cache_size)))
     return out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cacheopt.lp import SizeGuardError, solve, solve_via_dual
 from cacheopt.model import Instance, binom, validate_placement
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
-from conftest import random_popularity, random_q_instance
+from conftest import full_epigraph_problem, random_popularity, random_q_instance
 
 K2_MATRIX = np.array([[0.2, 0.4, 0.0], [0.6, 0.2, 0.0]])
 
@@ -70,6 +71,47 @@ class TestPerSetBound:
         with pytest.raises(ValueError):
             rlb_popfirst((1, 2), bad)
 
+    def test_ten_files_by_rearrangement(self, rng):
+        # one nonzero level l: the best ordering puts the i-th largest a[., l]
+        # at position i, whose weight C(K - i, l) is nonincreasing in i
+        k, level = 10, 3
+        a = np.zeros((12, k + 1))
+        a[:, level] = rng.random(12)
+        D = tuple(range(2, 12))
+        tracemalloc.start()
+        try:
+            value = rlb_general(D, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ranked = np.sort(a[1:11, level])[::-1]
+        assert value == pytest.approx(
+            sum(binom(k - i, level) * ranked[i - 1] for i in range(1, 11)), rel=1e-12)
+        assert peak < 2_000_000
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(size=st.integers(1, 7), extra_users=st.integers(0, 2),
+           extra_files=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_dp_equals_enumeration(self, size, extra_users, extra_files, seed):
+        # entries on a 0.1 grid, so that orderings tie
+        rng = np.random.default_rng(seed)
+        k, n = size + extra_users, size + extra_files
+        a = np.round(rng.random((n, k + 1)), 1)
+        files = np.sort(rng.permutation(n)[:size])
+        w = np.array([[binom(k - i, l) for l in range(k)] for i in range(1, size + 1)], dtype=float)
+        scores = a[files, :k] @ w.T
+
+        def rate(ordering):  # summed position by position
+            total = 0.0
+            for i, j in enumerate(ordering):
+                total += scores[j, i]
+            return total
+
+        best = max(rate(o) for o in itertools.permutations(range(size)))
+        assert rlb_general(tuple(files + 1), a) == best
+        _, sets, orders = B._best_orderings(scores[..., None], np.array([-np.inf]))
+        assert list(sets) == [0] and rate(orders[0]) == best
+
     def test_permutation_guard(self):
         a = np.zeros((12, 3))
         a[:, 0] = 1.0
@@ -93,14 +135,15 @@ class TestDistinctSetProbability:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_against_enumeration(self, rng):
-        inst = Instance(4, 3, 1.0, random_popularity(4, rng))
-        raw = {}
-        for d in itertools.product(range(1, 5), repeat=3):
-            key = tuple(sorted(set(d)))
-            raw[key] = raw.get(key, 0.0) + math.prod(inst.popularity[f - 1] for f in d)
-        for D in enumerate_distinct_sets(inst):
-            assert distinct_set_probability(inst, D) == pytest.approx(
-                raw[D], abs=1e-13)
+        for n, k in [(4, 3), (3, 4), (6, 2), (2, 5), (5, 5)]:
+            inst = Instance(n, k, 1.0, random_popularity(n, rng))
+            raw = {}
+            for d in itertools.product(range(1, n + 1), repeat=k):
+                key = tuple(sorted(set(d)))
+                raw[key] = raw.get(key, 0.0) + math.prod(inst.popularity[f - 1] for f in d)
+            for D in enumerate_distinct_sets(inst):
+                assert distinct_set_probability(inst, D) == pytest.approx(
+                    raw[D], abs=1e-13)
 
 
 class TestGeneralBound:
@@ -127,7 +170,7 @@ class TestGeneralBound:
     def test_direct_and_dual_routes_agree(self, rng):
         for _ in range(5):
             inst = Instance(4, 3, float(rng.uniform(0, 4)), random_popularity(4, rng))
-            problem = B._epigraph_problem(inst)
+            problem = full_epigraph_problem(inst)
             assert solve(problem).value == pytest.approx(
                 lower_bound_p1(inst).value, abs=1e-9)
 
@@ -156,9 +199,19 @@ class TestRowGeneration:
         inst = Instance(n, k, cache_frac * sizes.sum(), p / p.sum(), sizes)
         res = (lower_bound_p5 if sized else lower_bound_p1)(inst)
         assert res.value == pytest.approx(
-            solve_via_dual(B._epigraph_problem(inst)).value, abs=1e-9)
+            solve_via_dual(full_epigraph_problem(inst)).value, abs=1e-9)
         assert validate_placement(inst, res.placement) == []
         assert rbar(inst, res.placement.matrix) == pytest.approx(res.value, abs=1e-9)
+
+    def test_reproposed_row_raises(self, monkeypatch):
+        # an oracle that keeps proposing an active row must stop the loop, not spin
+        def stale(scores, floor):
+            sets = np.arange(len(floor))
+            return floor, sets, np.tile(np.arange(scores.shape[0]), (len(sets), 1))
+
+        monkeypatch.setattr(B, "_best_orderings", stale)
+        with pytest.raises(RuntimeError, match="already active"):
+            lower_bound_p1(Instance.from_zipf(4, 2, 1.0, 0.56))
 
     def test_solves_a_fraction_of_the_orderings(self, monkeypatch):
         inst = Instance.from_zipf(9, 4, 1.5, 0.8)

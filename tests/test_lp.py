@@ -6,9 +6,10 @@ import pytest
 from scipy.optimize import linprog
 
 from cacheopt import lp
-from cacheopt.bounds import _epigraph_problem
 from cacheopt.lp import LpProblem, solve, solve_via_dual
 from cacheopt.model import Instance
+
+from conftest import full_epigraph_problem
 
 
 def random_problem(rng, n_max=8, m_max=6):
@@ -179,7 +180,7 @@ class TestSolutionQuality:
 class TestMemory:
     def test_tableau_built_in_one_allocation(self, monkeypatch):
         # the P1 dual at (7,4): the tableau plus one pivot update is the floor
-        problem = _epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56))
+        problem = full_epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56))
         peaks = []
         direct = lp.solve
 

@@ -187,6 +187,16 @@ class TestValidatePlacement:
         kinds = {v.constraint for v in validate_placement(inst, a)}
         assert "nonnegative" in kinds and "partition" in kinds
 
+    def test_violations_in_entry_then_file_order(self):
+        inst = Instance(3, 2, 0.5, [0.5, 0.3, 0.2])
+        a = np.array([[1.3, -0.1, -0.2], [0.8, 0.0, 0.0], [-0.05, 0.525, 0.0]])
+        assert [(v.constraint, v.detail) for v in validate_placement(inst, a)] == [
+            ("nonnegative", "a[1,1] = -0.1 < 0"),
+            ("nonnegative", "a[1,2] = -0.2 < 0"),
+            ("nonnegative", "a[3,0] = -0.05 < 0"),
+            ("partition", "file 1 partitions to 0.9, expected 1"),
+            ("partition", "file 2 partitions to 0.8, expected 1")]
+
     def test_non_finite_entry_reported(self):
         inst = Instance(3, 2, 1.0, [0.5, 0.3, 0.2])
         a = np.array([[np.nan, 0.5, 0.25], [1.0, 0.0, 0.0], [np.inf, 0.0, 0.0]])

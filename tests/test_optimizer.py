@@ -27,7 +27,7 @@ from cacheopt.optimizer import (
     two_group_candidate,
 )
 
-from conftest import random_popularity
+from conftest import random_popularity, random_q_instance
 
 
 def distinct_rows(matrix, tol=1e-6):
@@ -405,3 +405,23 @@ class TestSearchCoefficients:
         assert report.rate_mccs == pytest.approx(
             expected_rate("mccs", inst, report.best.matrix), abs=1e-9)
         assert ccs.rate == pytest.approx(expected_rate("ccs", inst, ccs.matrix), abs=1e-9)
+
+
+class TestBoundRateChain:
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 7), k=st.integers(2, 4), cache_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounds_below_rates(self, n, k, cache_frac, seed):
+        rng = np.random.default_rng(seed)
+        p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        inst = Instance(n, k, cache_frac * n, p / p.sum())
+        report = optimize_mccs(inst)
+        p3 = solve_p3_lp(inst).value
+        assert report.lb_p1 <= report.lb_p2 + 1e-9
+        assert report.lb_p2 <= p3 + 1e-9
+        assert p3 == pytest.approx(report.rate_mccs, abs=1e-9)
+        assert report.rate_mccs <= report.rate_ccs_opt + 1e-9
+        assert solve_p4_lp(inst).value <= report.rate_mccs + 1e-9
+        q_inst, a = random_q_instance(n, k, rng)
+        assert avg_rate_closed(q_inst, a) == pytest.approx(
+            expected_rate("mccs", q_inst, a), abs=1e-9)
