@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -133,16 +133,25 @@ def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
 
 
 def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
-    """P(Unique(d) = D) for each row D of zero-based ``files``, by
-    inclusion-exclusion over the subsets of D."""
-    p = [inst.popularity[col] for col in files.T]
-    subsets = chain.from_iterable(combinations(p, r) for r in range(len(p) + 1))
-    return sum(((-1) ** (len(p) - len(sub)) * sum(sub) ** inst.n_users for sub in subsets),
-               np.zeros(len(files)))
+    """P(Unique(d) = D) for each row D of zero-based ``files``: the sum over
+    compositions c of K into |D| positive parts of K! prod_f p_f^c_f / c_f!,
+    taken file by file (ways[:, m] weighs m users' demands over the files so
+    far, each file requested; c more requests join in C(m, c) ways).  Every
+    term is positive, so nothing cancels."""
+    k = inst.n_users
+    joins = [np.array([binom(m, c) for m in range(c, k + 1)], dtype=float) for c in range(k + 1)]
+    ways = np.zeros((len(files), k + 1))
+    ways[:, 0] = 1.0
+    for col in files.T:
+        grown = np.zeros_like(ways)
+        for c in range(1, k - files.shape[1] + 2):  # the other files take one request each
+            grown[:, c:] += joins[c] * inst.popularity[col, None] ** c * ways[:, :k + 1 - c]
+        ways = grown
+    return ways[:, k]
 
 
 def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:
-    """P(Unique(d) = D) by inclusion-exclusion over subsets of D."""
+    """P(Unique(d) = D), summed over the request counts of D's files."""
     return float(_set_probabilities(inst, np.array([_distinct_files(D)], dtype=np.intp) - 1)[0])
 
 

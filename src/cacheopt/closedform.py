@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delivery import demand_classes
+from .delivery import demand_class_table
 from .model import Instance, PlacementLike, as_matrix, binom, is_popularity_first
 
 
@@ -35,26 +35,22 @@ class RateCoefficients:
 
 
 def redundancy_probabilities(inst: Instance) -> np.ndarray:
-    """P[i, u, n] by exact enumeration over demand classes.
+    """P[i, u, n] by exact enumeration over ``demand_class_table``.
 
-    For each class: u is the number of distinct requests; removing one copy of
-    each distinct file leaves the non-leader request multiset, sorted ascending
-    by file index (most popular first).  The class probability accumulates at
-    every position i of that list.
+    For each class: u is the number of distinct requests (first requesters);
+    the other positions hold the non-leader requests, sorted ascending by file
+    index (most popular first), and the class probability accumulates at each
+    of them under its rank i in that list.
     """
     n, k = inst.n_files, inst.n_users
+    reps, first, prob = demand_class_table(inst)
+    redundant = ~first
+    rank = np.cumsum(redundant, axis=1)
+    distinct = np.broadcast_to(first.sum(axis=1)[:, None], reps.shape)
     p_iun = np.zeros((k + 1, k + 1, n + 1))
-    for rep, prob in demand_classes(inst):
-        seen: set[int] = set()
-        redundant = []
-        for f in rep:  # rep is sorted ascending, so `redundant` is too
-            if f in seen:
-                redundant.append(f)
-            else:
-                seen.add(f)
-        u = len(seen)
-        for i, f in enumerate(redundant, start=1):
-            p_iun[i, u, f] += prob
+    # row-major selection: classes in order, ranks ascending within a class
+    np.add.at(p_iun, (rank[redundant], distinct[redundant], reps[redundant]),
+              np.broadcast_to(prob[:, None], reps.shape)[redundant])
     return p_iun
 
 
@@ -79,11 +75,8 @@ def g_coefficients(inst: Instance) -> RateCoefficients:
     correction = np.zeros((n, k + 1))
     for u in range(1, min(n, k) + 1):
         for l in range(0, k - u):
-            for i in range(1, k - u + 1):
-                inner = binom(k - u - i, l)
-                if inner == 0:
-                    continue
-                correction[:, l] += inner * p_iun[i, u, 1:]
+            for i in range(1, k - u - l + 1):  # C(K-u-i, l) vanishes past i = K-u-l
+                correction[:, l] += binom(k - u - i, l) * p_iun[i, u, 1:]
 
     return RateCoefficients(g=g_ccs - correction, g_ccs=g_ccs)
 

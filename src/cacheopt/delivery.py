@@ -11,15 +11,16 @@ Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
 Expectations over random demands are exact: the N^K demand vectors are grouped
 into multiset classes weighted by their multinomial probabilities (every rate
-here is invariant under user relabeling), and ``message_weights`` tabulates the
-expected message count per (level, file set) from them.
+here is invariant under user relabeling), listed once per call by
+``demand_class_table``.  ``message_weights``, the redundancy probabilities of
+``closedform`` and the all-distinct conditional expectations read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterator
 
 import numpy as np
@@ -68,11 +69,7 @@ def distinct_set(d: DemandLike) -> DistinctSet:
 def leader_group(d: DemandLike) -> LeaderGroup:
     """The deterministic leader group: for each distinct file, its first requester."""
     requests = as_requests(d)
-    first: dict[int, int] = {}
-    for user, f in enumerate(requests, start=1):
-        if f not in first:
-            first[f] = user
-    return LeaderGroup(tuple(sorted(first.values())))
+    return LeaderGroup(tuple(u for u, f in enumerate(requests, 1) if f not in requests[:u - 1]))
 
 
 def redundancy_profile(d: DemandLike) -> RedundancyProfile:
@@ -153,33 +150,37 @@ def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
     return total
 
 
-def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Multiset equivalence classes of demands with their total probabilities.
+def demand_class_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The demand multiset classes as one table ``(reps, first, prob)``.
 
-    Yields (sorted representative demand, probability of the whole class) in
-    lexicographic order; probabilities sum to 1.  Raises ``SizeGuardError``
-    before the first yield when N^K exceeds ``ENUMERATION_GUARD``.
+    ``reps[c]`` is class c's sorted representative demand (1-based files,
+    classes in lexicographic order), ``first[c, j]`` is True where user j + 1
+    is its file's first requester, and ``prob[c]`` is the class probability: the
+    running product of the requested popularities times K! / prod(count!).
+    Raises ``SizeGuardError`` before allocating when N^K exceeds ``ENUMERATION_GUARD``.
     """
     n, k = inst.n_files, inst.n_users
     if n ** k > ENUMERATION_GUARD:
         raise SizeGuardError(f"N^K = {n ** k} exceeds the exact-enumeration guard")
-    p = inst.popularity
-    fact_k = math.factorial(k)
-    for combo in combinations_with_replacement(range(1, n + 1), k):
-        prob = 1.0
-        mult = fact_k
-        count = 1
-        prev = None
-        for f in combo:
-            prob *= p[f - 1]
-            if f == prev:
-                count += 1
-            else:
-                count = 1
-            mult //= count  # divides k! by prod of multiplicities, incrementally
-            prev = f
-        # mult now equals k! / prod(count_i!)
-        yield combo, prob * mult
+    count = math.comb(n + k - 1, k)
+    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(range(1, n + 1), k)),
+                       dtype=np.intp, count=count * k).reshape(count, k)
+    first = np.ones(reps.shape, dtype=bool)
+    first[:, 1:] = reps[:, 1:] != reps[:, :-1]
+    prob, mult, run = np.ones(count), np.ones(count, dtype=np.int64), np.zeros(count, np.int64)
+    for j in range(k):
+        prob *= inst.popularity[reps[:, j] - 1]
+        run = np.where(first[:, j], 1, run + 1)
+        # the multinomial of users 1..j+1: an integer <= N^(j+1) at every step, so exact
+        mult = mult * (j + 1) // run
+    return reps, first, prob * mult
+
+
+def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
+    """The rows of ``demand_class_table`` as (representative, probability); the
+    guard raises at the first ``next()``."""
+    reps, _, prob = demand_class_table(inst)
+    yield from zip(map(tuple, reps.tolist()), prob.tolist())
 
 
 def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, ...]], float]:
@@ -187,30 +188,35 @@ def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, .
 
     A message for user subset S has level l = |S| - 1 and is padded to
     max_{f in files} a[f, l], so its size depends only on the file set S
-    requests.  One walk over ``demand_classes`` x nonempty user subsets counts
-    every subset for 'ccs' and the subsets meeting ``leader_group`` for 'mccs'.
+    requests.  One walk over user subsets, each a numpy step over all demand
+    classes, counts every subset for 'ccs' and for 'mccs' those meeting the
+    class's first requesters (its leader group).  Guarded on classes x subsets.
     """
     if scheme not in ("mccs", "ccs"):
         raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
     n, k = inst.n_files, inst.n_users
+    pairs = math.comb(n + k - 1, k) * ((1 << k) - 1)
+    if pairs > ENUMERATION_GUARD:
+        raise SizeGuardError(f"{pairs} classes x user subsets exceed the exact-enumeration guard")
+    reps, first, prob = demand_class_table(inst)
     # user bitmasks ascending: a mask requests its rest's files and its lowest user's, the
-    # smallest (rep is sorted); key = level * (N+1)^K + the files as base-(N+1) digits
-    base, span = n + 1, (n + 1) ** k
-    steps = [(mask, mask & (mask - 1), (mask & -mask).bit_length() - 1,
-              (bin(mask).count("1") - 1) * span) for mask in range(1, 1 << k)]
-    codes = [0] * (1 << k)
-    packed: dict[int, float] = {}
-    for rep, prob in demand_classes(inst):
-        leaders = (1 << k) - 1 if scheme == "ccs" else sum(
-            1 << (u - 1) for u in leader_group(rep).users)
-        for mask, rest, low, level in steps:
-            code, f = codes[rest], rep[low]
-            codes[mask] = code = code if code % base == f else code * base + f
-            if mask & leaders:
-                packed[level + code] = packed.get(level + code, 0.0) + prob
-    return dict(sorted(((key // span, tuple(filter(None, (key // base ** i % base
-                                                         for i in range(k))))), w)
-                       for key, w in packed.items()))
+    # smallest (reps are sorted), coded as base-(N+1) digits; a key's level comes from its
+    # masks alone, so one level at a time keeps each key's sum in class-major order
+    base = n + 1
+    leaders = (first if scheme == "mccs" else np.ones_like(first)) @ (1 << np.arange(k))
+    codes, items = {0: np.zeros(len(prob), dtype=np.int64)}, []
+    for size in range(1, k + 1):
+        masks = np.array([mask for mask in range(1, 1 << k) if bin(mask).count("1") == size])
+        block = np.empty((len(prob), len(masks)), dtype=np.int64)
+        for j, mask in enumerate(masks.tolist()):
+            rest, f = codes[mask & (mask - 1)], reps[:, (mask & -mask).bit_length() - 1]
+            codes[mask] = block[:, j] = np.where(rest % base == f, rest, rest * base + f)
+        hit = leaders[:, None] & masks != 0  # classes x masks, class-major as the sums run
+        keys, index = np.unique(block[hit], return_inverse=True)
+        weights = np.bincount(index, np.broadcast_to(prob[:, None], hit.shape)[hit])
+        items += [((size - 1, tuple(filter(None, (key // base ** i % base for i in range(k))))), w)
+                  for key, w in zip(keys.tolist(), weights.tolist())]
+    return dict(sorted(items))
 
 
 def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
@@ -223,31 +229,22 @@ def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
                      for (l, files), w in message_weights(inst, rate_fn).items())
 
 
-def distinct_demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Classes of all-distinct demands with unnormalized probabilities K! * prod p."""
-    n, k = inst.n_files, inst.n_users
-    fact_k = math.factorial(k)
-    for combo in combinations(range(1, n + 1), k):
-        prob = fact_k
-        for f in combo:
-            prob = prob * inst.popularity[f - 1]
-        yield combo, float(prob)
-
-
 def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:
     """Expected ``rate(demand, a)`` given that all K requests are distinct.
 
-    Uses the renormalized product measure on all-distinct demands; requires
-    K <= N for the conditioning event to be possible.
+    Uses the renormalized product measure on the all-distinct rows of
+    ``demand_class_table``; requires K <= N for the conditioning event to be possible.
     """
     if inst.n_users > inst.n_files:
         raise ValueError("all-distinct conditioning requires K <= N")
     m = as_matrix(a)
-    classes = list(distinct_demand_classes(inst))
-    total = math.fsum(w for _, w in classes)
+    reps, first, prob = demand_class_table(inst)
+    distinct = first.all(axis=1)
+    weights = prob[distinct].tolist()
+    total = math.fsum(weights)
     if total == 0.0:
         raise ValueError("all-distinct demands have zero probability")
-    return math.fsum(w * rate(rep, m) for rep, w in classes) / total
+    return math.fsum(w * rate(rep, m) for rep, w in zip(reps[distinct].tolist(), weights)) / total
 
 
 def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestDistinctSetProbability:
             for D in enumerate_distinct_sets(inst):
                 assert distinct_set_probability(inst, D) == pytest.approx(
                     raw[D], abs=1e-13)
+
+    def test_relative_accuracy_on_small_sets(self):
+        # an alternating inclusion-exclusion sum loses ~1e-9 relative on
+        # D = (1, 6, 7, 8, 9, 10) here; a sum of positive terms keeps every digit
+        inst = Instance.from_zipf(10, 6, 1.0, 2.0)
+        p = [Fraction(float(v)) for v in inst.popularity]
+        exact = {}
+        for rep in itertools.combinations_with_replacement(range(1, 11), 6):
+            counts = [rep.count(f) for f in sorted(set(rep))]
+            ways = math.factorial(6) // math.prod(math.factorial(c) for c in counts)
+            key = tuple(sorted(set(rep)))
+            if len(key) >= 3:
+                exact[key] = exact.get(key, 0) + ways * math.prod(p[f - 1] for f in rep)
+        table = {tuple(row + 1): prob for files, prob in B._distinct_set_table(inst)
+                 for row, prob in zip(files, prob)}
+        assert len(exact) == sum(math.comb(10, size) for size in range(3, 7))
+        sets = sorted(exact)
+        want = [float(exact[D]) for D in sets]
+        np.testing.assert_allclose([distinct_set_probability(inst, D) for D in sets], want,
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose([table[D] for D in sets], want, rtol=1e-13, atol=0)
 
 
 class TestGeneralBound:

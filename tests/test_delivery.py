@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from cacheopt.delivery import (
     coded_message_size,
     conditional_expected_rate_distinct,
     demand_classes,
-    distinct_demand_classes,
     distinct_set,
     expected_rate,
     leader_group,
@@ -169,13 +169,27 @@ class TestDemandClasses:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_class_weights_match_raw_enumeration(self):
-        inst = Instance(3, 3, 1.0, [0.5, 0.3, 0.2])
-        raw = {}
-        for d in itertools.product((1, 2, 3), repeat=3):
-            key = tuple(sorted(d))
-            raw[key] = raw.get(key, 0.0) + math.prod(inst.popularity[f - 1] for f in d)
-        for rep, prob in demand_classes(inst):
-            assert prob == pytest.approx(raw[rep], abs=1e-15)
+        for popularity, k in [([0.5, 0.3, 0.2], 3), ([0.4, 0.3, 0.2, 0.1], 5),
+                              ([0.5, 0.3, 0.2], 6)]:
+            n = len(popularity)
+            inst = Instance(n, k, 1.0, popularity)
+            raw = {}
+            for d in itertools.product(range(1, n + 1), repeat=k):
+                key = tuple(sorted(d))
+                raw[key] = raw.get(key, 0.0) + math.prod(inst.popularity[f - 1] for f in d)
+            classes = list(demand_classes(inst))
+            assert [rep for rep, _ in classes] == sorted(raw)
+            for rep, prob in classes:
+                assert prob == pytest.approx(raw[rep], abs=1e-15)
+
+    def test_multiplicities_past_int64(self):
+        # 21! overflows int64; the class of c requests for file 1 has weight C(21, c)
+        inst = Instance(2, 21, 1.0, [0.6, 0.4])
+        classes = list(demand_classes(inst))
+        pmf = [math.comb(21, c) * 0.6 ** c * 0.4 ** (21 - c) for c in range(21, -1, -1)]
+        assert [rep.count(1) for rep, _ in classes] == list(range(21, -1, -1))
+        np.testing.assert_allclose([prob for _, prob in classes], pmf, rtol=0, atol=1e-15)
+        assert math.fsum(prob for _, prob in classes) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestExpectedRate:
@@ -214,11 +228,19 @@ class TestExpectedRate:
         inst = Instance(30, 8, 1.0, np.full(30, 1 / 30))
         with pytest.raises(SizeGuardError):
             expected_rate("mccs", inst, np.tile([1.0] + [0.0] * 8, (30, 1)))
-        # the guard sits in demand_classes, so every enumeration shares it
+        # the guard sits in demand_class_table, so every enumeration shares it
         with pytest.raises(SizeGuardError):
             g_coefficients(inst)
         with pytest.raises(SizeGuardError):
             next(demand_classes(inst))
+        with pytest.raises(SizeGuardError):
+            conditional_expected_rate_distinct(inst, np.tile([1.0] + [0.0] * 8, (30, 1)))
+        # N^K = 2^20 passes, but 21 classes x (2^20 - 1) user subsets do not
+        wide = Instance(2, 20, 1.0, [0.6, 0.4])
+        start = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="user subsets"):
+            expected_rate("mccs", wide, np.tile([1.0] + [0.0] * 20, (2, 1)))
+        assert time.perf_counter() - start < 1.0
 
     def test_unknown_rate_fn(self):
         with pytest.raises(ValueError):
@@ -236,7 +258,7 @@ class TestMessageWeights:
         assert message_weights(K2_INSTANCE, "ccs")[(0, (1,))] == pytest.approx(2 * 0.36 + 0.48)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    @given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_folds_to_rate_coefficients(self, n, k, seed):
         # under popularity-first order a message pads to its most popular
         # file's entry, so summing the table by min(files) gives g and g_ccs
@@ -250,12 +272,17 @@ class TestMessageWeights:
             np.testing.assert_allclose(folded, g, rtol=0, atol=1e-12)
 
 
+def all_distinct_classes(inst):
+    return [(d, w) for d, w in demand_classes(inst) if len(set(d)) == len(d)]
+
+
 class TestConditionalDistinct:
     def test_uniform_symmetric(self, rng):
         # uniform popularity, K = N: every permutation demand has the same weight
         inst = Instance(3, 3, 1.0, np.full(3, 1 / 3))
         _, a = random_q_instance(3, 3, rng)
-        rates = [rate_mccs(d, a) for d, _ in distinct_demand_classes(inst)]
+        rates = [rate_mccs(d, a) for d, _ in all_distinct_classes(inst)]
+        assert len(rates) == 1
         assert conditional_expected_rate_distinct(inst, a) == pytest.approx(
             float(np.mean(rates)), abs=1e-12)
 
@@ -264,7 +291,7 @@ class TestConditionalDistinct:
         for _ in range(5):
             inst, a = random_q_instance(5, 3, rng)
             num, den = [], []
-            for d, w in distinct_demand_classes(inst):
+            for d, w in all_distinct_classes(inst):
                 num.append(w * rlb_popfirst(distinct_set(d), a))
                 den.append(w)
             assert conditional_expected_rate_distinct(inst, a) == pytest.approx(
@@ -273,7 +300,8 @@ class TestConditionalDistinct:
     def test_placement_symmetry(self, rng):
         inst = Instance(3, 2, 1.0, random_popularity(3, rng))
         a = np.tile([0.4, 0.2, 0.2], (3, 1))
-        per_pair = {d: rate_mccs(d, a) for d, _ in distinct_demand_classes(inst)}
+        per_pair = {d: rate_mccs(d, a) for d, _ in all_distinct_classes(inst)}
+        assert sorted(per_pair) == [(1, 2), (1, 3), (2, 3)]
         assert len(set(round(v, 12) for v in per_pair.values())) == 1
 
     def test_requires_enough_files(self):
