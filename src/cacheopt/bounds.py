@@ -4,7 +4,8 @@ The per-demand bound depends only on the set D of distinct requested files:
 every ordering pi of D yields the rate sum_{l<K} sum_i C(K-i,l) a_{pi(i),l},
 and the bound takes the best ordering, found by a subset DP in |D| 2^(|D|-1)
 steps without listing the |D|! orderings.  Averaging over D with the exact
-distinct-set probabilities and minimizing over feasible placements gives three LPs:
+distinct-set probabilities and minimizing over feasible placements gives three
+LPs, each returning the ``model.LpOptimum`` of ``solve_placement``:
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
@@ -23,7 +24,7 @@ P1 and P2 reject nonuniform sizes rather than silently solving P5's program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, groupby
 from typing import Iterator, Sequence, Union
@@ -35,7 +36,7 @@ from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     DistinctSet,
     Instance,
-    Placement,
+    LpOptimum,
     PlacementLike,
     as_matrix,
     binom,
@@ -169,17 +170,7 @@ def _distinct_set_table(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(f, _set_probabilities(inst, f)) for f in files]
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """Optimal bound value with the placement achieving it."""
-
-    value: float
-    placement: Placement
-    which: str  # 'P1' | 'P2' | 'P5'
-    iterations: int = 0
-
-
-def _generated_bound(inst: Instance, which: str) -> BoundResult:
+def _generated_bound(inst: Instance) -> LpOptimum:
     """Solve the P1/P5 epigraph LP by generating its ordering rows (Kelley).
 
     The full LP has a row rate(ordering) <= t_D per ordering of each distinct
@@ -211,17 +202,16 @@ def _generated_bound(inst: Instance, which: str) -> BoundResult:
         if len(unique) < len(key):
             raise RuntimeError("a violated set's best ordering is already active; this is a bug")
         lhs, owner = lhs[index], unique // radix
-        value, placement, iterations = solve_placement(
-            placement_program(inst, c, (lhs, owner)), inst)
-        pivots += iterations
-        x = placement.matrix
+        opt = solve_placement(placement_program(inst, c, (lhs, owner)), inst)
+        pivots += opt.iterations
+        x = opt.placement.matrix
         beaten = np.full(first[-1], -np.inf)
         np.maximum.at(beaten, owner, lhs @ x.ravel())
         picks = [_best_orderings(np.moveaxis(x[files, :k] @ w[:files.shape[1]].T, 0, -1),
                                  beaten[start:start + len(files)])[1:]
                  for (files, _), start in zip(table, first)]
         if not any(len(sets) for sets, _ in picks):
-            return BoundResult(value, placement, which, pivots)
+            return replace(opt, iterations=pivots)
 
 
 def _require_uniform(inst: Instance, which: str):
@@ -229,15 +219,15 @@ def _require_uniform(inst: Instance, which: str):
         raise ValueError(f"bound {which} assumes uniform file sizes; use lower_bound_p5")
 
 
-def lower_bound_p1(inst: Instance) -> BoundResult:
+def lower_bound_p1(inst: Instance) -> LpOptimum:
     """General uncoded-placement lower bound on the average rate."""
     _require_uniform(inst, "P1")
-    return _generated_bound(inst, "P1")
+    return _generated_bound(inst)
 
 
-def lower_bound_p5(inst: Instance) -> BoundResult:
+def lower_bound_p5(inst: Instance) -> LpOptimum:
     """The general bound with nonuniform file sizes (everything in bits)."""
-    return _generated_bound(inst, "P5")
+    return _generated_bound(inst)
 
 
 def p2_objective(inst: Instance) -> np.ndarray:
@@ -253,12 +243,10 @@ def p2_objective(inst: Instance) -> np.ndarray:
     return w
 
 
-def lower_bound_p2(inst: Instance) -> BoundResult:
+def lower_bound_p2(inst: Instance) -> LpOptimum:
     """Lower bound restricted to popularity-first placements (plain LP)."""
     _require_uniform(inst, "P2")
-    problem = placement_program(inst, p2_objective(inst).ravel(), ordered=True)
-    value, placement, iterations = solve_placement(problem, inst)
-    return BoundResult(value, placement, "P2", iterations)
+    return solve_placement(placement_program(inst, p2_objective(inst).ravel(), ordered=True), inst)
 
 
 def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> float:

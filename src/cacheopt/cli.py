@@ -147,15 +147,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_bound(args) -> int:
     inst, order = _build_instance(args)
-    if args.which == "p1":
-        res = bounds.lower_bound_p1(inst)
-    elif args.which == "p2":
-        res = bounds.lower_bound_p2(inst)
-    elif args.which == "p5":
-        res = bounds.lower_bound_p5(inst)
-    else:
+    if args.which not in ("p1", "p2", "p5"):
         raise ValueError(f"unknown bound {args.which!r}")
-    doc = {"which": res.which, "value": res.value, "placement": res.placement.matrix.tolist()}
+    res = getattr(bounds, f"lower_bound_{args.which}")(inst)  # per call: wrappers may rebind it
+    doc = {"which": args.which.upper(), "value": res.value, "placement": res.placement.matrix.tolist()}
     if _order_note(order):
         doc["file_order"] = _order_note(order)
     _emit(json.dumps(_round6(doc), indent=2) + "\n", args.out)

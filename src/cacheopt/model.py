@@ -319,12 +319,22 @@ def placement_program(inst: Instance, objective: np.ndarray,
     return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
 
 
-def solve_placement(problem: LpProblem, inst: Instance) -> tuple[float, Placement, int]:
-    """Solve a placement program; return (value, placement, iterations).
+@dataclass(frozen=True)
+class LpOptimum:
+    """An optimal placement of a placement program, its value and simplex pivots."""
+
+    placement: Placement
+    value: float
+    iterations: int
+
+
+def solve_placement(problem: LpProblem, inst: Instance) -> LpOptimum:
+    """Solve a placement program and validate its placement.
 
     Programs with epigraph variables are tall (one row per ordering or
     message), so they are solved through the explicit dual.  Entries in
-    (-1e-9, 0] are cleared to 0.0.
+    (-1e-9, 0] are cleared to 0.0; a placement that still violates
+    ``validate_placement`` raises RuntimeError.
     """
     n_a = inst.n_files * (inst.n_users + 1)
     sol = (lp.solve_via_dual if problem.n_vars > n_a else lp.solve)(problem)
@@ -332,7 +342,10 @@ def solve_placement(problem: LpProblem, inst: Instance) -> tuple[float, Placemen
         raise RuntimeError(f"placement program reported {sol.status}; this is a bug")
     m = sol.x[:n_a].reshape(inst.n_files, inst.n_users + 1)
     m = np.where((m < 0) & (m > -1e-9), 0.0, m) + 0.0
-    return float(sol.value), Placement(m, inst), sol.iterations
+    if bad := validate_placement(inst, m):
+        raise RuntimeError(f"placement program returned an infeasible placement ({bad[0]}); "
+                           "this is a bug")
+    return LpOptimum(Placement(m, inst), float(sol.value), sol.iterations)
 
 
 def validate_placement(inst: Instance, a: PlacementLike) -> list[Violation]:

@@ -31,7 +31,7 @@ from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import g_coefficients, rate_from_coefficients
 from .delivery import message_weights
 from .lp import SizeGuardError
-from .model import Instance, Placement, binom, placement_program, solve_placement
+from .model import Instance, LpOptimum, binom, placement_program, solve_placement
 
 _TOL = 1e-12
 P4_MAX_USERS = 4
@@ -72,13 +72,6 @@ class OptimizeReport:
     lb_p1: float | None = None
     lb_p2: float | None = None
     gap: float | None = None
-
-
-@dataclass(frozen=True)
-class LpOptimum:
-    placement: Placement
-    value: float
-    iterations: int
 
 
 def _uniform_prefix_vector(k: int, v: float) -> np.ndarray | None:
@@ -268,9 +261,7 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
         g = coeffs.g_ccs
     else:
         raise ValueError("scheme must be 'mccs' or 'ccs'")
-    problem = placement_program(inst, g.ravel(), exact_cache=True, ordered=True)
-    value, placement, iterations = solve_placement(problem, inst)
-    return LpOptimum(placement, value, iterations)
+    return solve_placement(placement_program(inst, g.ravel(), exact_cache=True, ordered=True), inst)
 
 
 def solve_p4_lp(inst: Instance) -> LpOptimum:
@@ -291,5 +282,4 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     lhs = np.zeros((len(rows), n_a))
     lhs[np.arange(len(rows)), col] = 1.0
     c = np.concatenate([np.zeros(n_a), list(weights.values())])
-    value, placement, iterations = solve_placement(placement_program(inst, c, (lhs, owner)), inst)
-    return LpOptimum(placement, value, iterations)
+    return solve_placement(placement_program(inst, c, (lhs, owner)), inst)

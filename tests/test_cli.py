@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from cacheopt import bounds
 from cacheopt.cli import main
 
 
@@ -130,6 +131,20 @@ class TestBoundCommand:
                                "--cache", "2", "--zipf", "0.56", "--which", "p1")
         assert code == 0
         assert "-0.0" not in out
+
+    def test_bound_looked_up_on_module_per_call(self, capsys, monkeypatch):
+        # tracing wrappers rebind the module attribute after cli is imported
+        calls = []
+        original = bounds.lower_bound_p2
+
+        def recorded(inst):
+            calls.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(bounds, "lower_bound_p2", recorded)
+        code, _, _ = run_cli(capsys, "bound", "--files", "4", "--users", "2",
+                             "--cache", "1.5", "--zipf", "1.0", "--which", "p2")
+        assert code == 0 and len(calls) == 1
 
 
 class TestNegativeZero:

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cacheopt import closedform, optimizer
-from cacheopt.bounds import lower_bound_p5
+from cacheopt import closedform, lp, optimizer
+from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
 from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
 from cacheopt.delivery import expected_rate
 from cacheopt.lp import SizeGuardError
@@ -425,3 +427,36 @@ class TestBoundRateChain:
         q_inst, a = random_q_instance(n, k, rng)
         assert avg_rate_closed(q_inst, a) == pytest.approx(
             expected_rate("mccs", q_inst, a), abs=1e-9)
+
+
+class TestPlacementLpsChecked:
+    def test_infeasible_solver_answer_raises(self, monkeypatch):
+        # P2 and P3 take the primal route, which checks no residual itself
+        original = lp.solve
+
+        def perturbed(problem):
+            sol = original(problem)
+            x = sol.x.copy()
+            x[0] += 1e-6  # file 1's server share: its partition row now sums to 1 + 1e-6
+            return dataclasses.replace(sol, x=x)
+
+        monkeypatch.setattr(lp, "solve", perturbed)
+        inst = Instance.from_zipf(5, 3, 1.5, 0.56)
+        with pytest.raises(RuntimeError, match="partition.*this is a bug"):
+            lower_bound_p2(inst)
+        with pytest.raises(RuntimeError, match="partition.*this is a bug"):
+            solve_p3_lp(inst)
+
+
+class TestValueFunctionsInCache:
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 5), k=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_nonincreasing_and_convex(self, n, k, seed):
+        # each is an LP value as a function of the cache right-hand side
+        p = random_popularity(n, np.random.default_rng(seed))
+        insts = [Instance(n, k, n * j / 8, p) for j in range(9)]
+        for solve in (lambda i: optimize_mccs(i, with_bounds=False, with_ccs=False).rate_mccs,
+                      lambda i: lower_bound_p2(i).value, lambda i: lower_bound_p1(i).value):
+            rates = np.array([solve(inst) for inst in insts])
+            assert np.diff(rates).max() <= 1e-9
+            assert np.diff(rates, 2).min() >= -1e-9
