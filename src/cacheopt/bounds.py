@@ -31,7 +31,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .delivery import conditional_expected_distinct
+from .delivery import _set_probabilities, conditional_expected_distinct
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     DistinctSet,
@@ -131,24 +131,6 @@ def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
     k = m.shape[1] - 1
     w = _position_weights(k, len(files))
     return float(sum(w[i] @ m[f - 1, :k] for i, f in enumerate(files)))
-
-
-def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
-    """P(Unique(d) = D) for each row D of zero-based ``files``: the sum over
-    compositions c of K into |D| positive parts of K! prod_f p_f^c_f / c_f!,
-    taken file by file (ways[:, m] weighs m users' demands over the files so
-    far, each file requested; c more requests join in C(m, c) ways).  Every
-    term is positive, so nothing cancels."""
-    k = inst.n_users
-    joins = [np.array([binom(m, c) for m in range(c, k + 1)], dtype=float) for c in range(k + 1)]
-    ways = np.zeros((len(files), k + 1))
-    ways[:, 0] = 1.0
-    for col in files.T:
-        grown = np.zeros_like(ways)
-        for c in range(1, k - files.shape[1] + 2):  # the other files take one request each
-            grown[:, c:] += joins[c] * inst.popularity[col, None] ** c * ways[:, :k + 1 - c]
-        ways = grown
-    return ways[:, k]
 
 
 def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:

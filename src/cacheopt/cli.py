@@ -15,7 +15,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -279,7 +279,7 @@ def cmd_selftest(args) -> int:
 
     ok_l3 = all(
         abs(delivery.rate_mccs_lemma3(d, blend) - delivery.rate_mccs(d, blend)) < 1e-12
-        for d, _ in delivery.demand_classes(inst2)
+        for d in product(range(1, 5), repeat=3)
     )
     checks.append(("redundancy-counting rate identity", ok_l3))
 

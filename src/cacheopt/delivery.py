@@ -9,19 +9,22 @@ Two delivery strategies are evaluated on the same placement:
 
 Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
-Expectations over random demands are exact: the N^K demand vectors are grouped
-into multiset classes weighted by their multinomial probabilities (every rate
-here is invariant under user relabeling), listed once per call by
-``demand_class_table``.  ``message_weights``, the redundancy probabilities of
-``closedform`` and the all-distinct conditional expectations read that table.
+Expectations over random demands are exact and list no demands.  Users request
+independently, so a demand's weight factors over files, and ``_join`` adds one
+file: c more users request it and b of those c join a message's user subset.
+Forward over the files of each set it gives the distinct-set probabilities of
+``bounds`` and ``message_weights`` (the expected messages behind the exact
+expected rates and P4); backward over all files it gives the coefficients of
+``closedform``.  Only this module knows the step's state layout.  The
+all-distinct conditional expectations walk the K-subsets of files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement
-from typing import Iterator
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +40,8 @@ from .model import (
     is_popularity_first,
 )
 
-ENUMERATION_GUARD = 10 ** 7
+KEY_GUARD = 10 ** 7
+CHUNK = 1024  # file sets per forward pass, bounding its working arrays
 
 
 @dataclass(frozen=True)
@@ -150,73 +154,128 @@ def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
     return total
 
 
-def demand_class_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The demand multiset classes as one table ``(reps, first, prob)``.
+@lru_cache(maxsize=None)
+def _placements(k: int) -> np.ndarray:
+    """[m * (K+1) + c, j] = C(m, c) where j = m - c: the ways to place c more
+    requests among m users (read-only)."""
+    table = np.zeros((k + 1, k + 1, k + 1))
+    for c in range(k + 1):
+        for j in range(k + 1 - c):
+            table[j + c, c, j] = binom(j + c, c)
+    table = table.reshape(-1, k + 1)
+    table.flags.writeable = False
+    return table
 
-    ``reps[c]`` is class c's sorted representative demand (1-based files,
-    classes in lexicographic order), ``first[c, j]`` is True where user j + 1
-    is its file's first requester, and ``prob[c]`` is the class probability: the
-    running product of the requested popularities times K! / prod(count!).
-    Raises ``SizeGuardError`` before allocating when N^K exceeds ``ENUMERATION_GUARD``.
-    """
+
+@lru_cache(maxsize=None)
+def _choices(k: int, fewest: int, most: int) -> np.ndarray:
+    """phi[s', c * S + s] moves a subset from state s to s' when fewest <= b' <=
+    most of a file's c requests join it (read-only).  State (flag, b) is
+    flag * (K+1) + b of S = 2K + 2.  Of the C(c, b') ways to pick, C(c - 1, b')
+    miss the file's first requester (its leader) and C(c - 1, b' - 1) hit it:
+    flag 0 (no leader yet) turns 1 on a hit, and flag 1 stays 1."""
+    every = np.array([[binom(c, b) for b in range(k + 1)] for c in range(k + 1)], dtype=float)
+    miss = np.vstack([np.arange(k + 1) == 0, every[:-1]])
+    flags = np.zeros((k + 1, 2, 2, k + 1))  # c, flag before, flag after, b'
+    flags[:, 0, 0], flags[:, 0, 1], flags[:, 1, 1] = miss, every - miss, every
+    flags[..., :fewest] = flags[..., most + 1:] = 0.0
+    shifts = np.array([np.eye(k + 1, k=b) for b in range(k + 1)])  # [b', b, b + b'] = 1
+    phi = np.einsum("cxyd,dbe->yecxb", flags, shifts).reshape(2 * k + 2, -1)
+    phi.flags.writeable = False
+    return phi
+
+
+def _join(ways: np.ndarray, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Add one file to ``ways[j, s, r]``, the weight of j users' demands over the
+    files so far in state s, per row r.  c more users request the file, in
+    C(j + c, c) p[r]^c ways, and ``phi`` moves the state.  Every term is
+    positive, so nothing cancels."""
+    k, (states, rows) = ways.shape[0] - 1, ways.shape[1:]
+    placed = (_placements(k) @ ways.reshape(k + 1, -1)).reshape(k + 1, k + 1, states, rows)
+    placed *= (p ** np.arange(k + 1)[:, None])[:, None, :]
+    return phi @ placed.reshape(k + 1, (k + 1) * states, rows)
+
+
+def _key_guard(inst: Instance):
+    """Raise ``SizeGuardError`` when the (level, file set) keys exceed ``KEY_GUARD``."""
     n, k = inst.n_files, inst.n_users
-    if n ** k > ENUMERATION_GUARD:
-        raise SizeGuardError(f"N^K = {n ** k} exceeds the exact-enumeration guard")
-    count = math.comb(n + k - 1, k)
-    reps = np.fromiter(chain.from_iterable(combinations_with_replacement(range(1, n + 1), k)),
-                       dtype=np.intp, count=count * k).reshape(count, k)
-    first = np.ones(reps.shape, dtype=bool)
-    first[:, 1:] = reps[:, 1:] != reps[:, :-1]
-    prob, mult, run = np.ones(count), np.ones(count, dtype=np.int64), np.zeros(count, np.int64)
-    for j in range(k):
-        prob *= inst.popularity[reps[:, j] - 1]
-        run = np.where(first[:, j], 1, run + 1)
-        # the multinomial of users 1..j+1: an integer <= N^(j+1) at every step, so exact
-        mult = mult * (j + 1) // run
-    return reps, first, prob * mult
+    keys = sum(math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1))
+    if keys > KEY_GUARD:
+        raise SizeGuardError(f"{keys} (level, file set) keys exceed the {KEY_GUARD}-key guard")
 
 
-def demand_classes(inst: Instance) -> Iterator[tuple[tuple[int, ...], float]]:
-    """The rows of ``demand_class_table`` as (representative, probability); the
-    guard raises at the first ``next()``."""
-    reps, _, prob = demand_class_table(inst)
-    yield from zip(map(tuple, reps.tolist()), prob.tolist())
+def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """``ways[K]`` of each row of zero-based ``files``, CHUNK rows at a time: the
+    other files join by ``outside`` as one file of their total popularity, then
+    each file of the row joins by ``phi``."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity
+    out = np.empty((len(files), len(phi)))
+    for start in range(0, len(files), CHUNK):
+        rows = files[start:start + CHUNK]
+        rest = np.ones((len(rows), n), dtype=bool)
+        rest[np.arange(len(rows))[:, None], rows] = False
+        ways = np.zeros((k + 1, len(phi), len(rows)))
+        ways[0, 0] = 1.0
+        ways = _join(ways, rest @ p, outside)
+        for col in rows.T:
+            ways = _join(ways, p[col], phi)
+        out[start:start + CHUNK] = ways[k].T
+    return out
+
+
+def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
+    """P(Unique(d) = D) for each row D of zero-based ``files``: no user requests
+    a file outside D and each file of D is requested, nothing picked."""
+    c = np.arange(inst.n_users + 1)[None, :]
+    return _forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0)[:, 0]
+
+
+def _by_most_popular(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """(missed, hits)[n, l]: the expected number of level-l messages whose most
+    popular requested file is n, missing every leader or meeting one.
+
+    One backward pass over the files: ``ways`` weighs the demands of the files
+    after n, any of them in the subset.  File n joins in the subset, then the
+    files before it join outside it as one file of their total popularity.
+    """
+    n, k, p = inst.n_files, inst.n_users, inst.popularity
+    head = np.concatenate([[0.0], np.cumsum(p)[:-1]])  # head[n] = sum_{n' < n} p
+    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    ways[0, 0] = 1.0
+    counts = np.zeros((2, n, k + 1))
+    for f in range(n - 1, -1, -1):
+        top = _join(_join(ways, p[f:f + 1], _choices(k, 1, k)), head[f:f + 1], _choices(k, 0, 0))
+        counts[:, f, :k] = top[k, :, 0].reshape(2, k + 1)[:, 1:]
+        ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
+    return counts[0], counts[1]
 
 
 def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, ...]], float]:
     """Expected message count per key (level l, requested-file set), keys sorted.
 
-    A message for user subset S has level l = |S| - 1 and is padded to
-    max_{f in files} a[f, l], so its size depends only on the file set S
-    requests.  One walk over user subsets, each a numpy step over all demand
-    classes, counts every subset for 'ccs' and for 'mccs' those meeting the
-    class's first requesters (its leader group).  Guarded on classes x subsets.
+    A message for user subset U has level l = |U| - 1 and is padded to
+    max_{f in files} a[f, l], so its size depends only on the file set S that U
+    requests.  Every (l, S) with |S| <= l + 1 is a key, zero weights included.
+    One forward pass per set S counts every subset for 'ccs' and for 'mccs'
+    those meeting a leader.  Guarded on the keys.
     """
     if scheme not in ("mccs", "ccs"):
         raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
+    _key_guard(inst)
     n, k = inst.n_files, inst.n_users
-    pairs = math.comb(n + k - 1, k) * ((1 << k) - 1)
-    if pairs > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{pairs} classes x user subsets exceed the exact-enumeration guard")
-    reps, first, prob = demand_class_table(inst)
-    # user bitmasks ascending: a mask requests its rest's files and its lowest user's, the
-    # smallest (reps are sorted), coded as base-(N+1) digits; a key's level comes from its
-    # masks alone, so one level at a time keeps each key's sum in class-major order
-    base = n + 1
-    leaders = (first if scheme == "mccs" else np.ones_like(first)) @ (1 << np.arange(k))
-    codes, items = {0: np.zeros(len(prob), dtype=np.int64)}, []
-    for size in range(1, k + 1):
-        masks = np.array([mask for mask in range(1, 1 << k) if bin(mask).count("1") == size])
-        block = np.empty((len(prob), len(masks)), dtype=np.int64)
-        for j, mask in enumerate(masks.tolist()):
-            rest, f = codes[mask & (mask - 1)], reps[:, (mask & -mask).bit_length() - 1]
-            codes[mask] = block[:, j] = np.where(rest % base == f, rest, rest * base + f)
-        hit = leaders[:, None] & masks != 0  # classes x masks, class-major as the sums run
-        keys, index = np.unique(block[hit], return_inverse=True)
-        weights = np.bincount(index, np.broadcast_to(prob[:, None], hit.shape)[hit])
-        items += [((size - 1, tuple(filter(None, (key // base ** i % base for i in range(k))))), w)
-                  for key, w in zip(keys.tolist(), weights.tolist())]
-    return dict(sorted(items))
+    sets, counts = [], []
+    for size in range(1, min(n, k) + 1):
+        sets_of_size = list(combinations(range(1, n + 1), size))
+        ways = _forward(inst, np.array(sets_of_size, dtype=np.intp) - 1,
+                        _choices(k, 1, k), _choices(k, 0, 0))
+        counts.append(ways[:, k + 1:] if scheme == "mccs" else ways[:, k + 1:] + ways[:, :k + 1])
+        sets += sets_of_size
+    counts, order = np.concatenate(counts), sorted(range(len(sets)), key=sets.__getitem__)
+    weights = {}
+    for l in range(k):  # keys in sorted order, built once: the table is the largest allocation
+        level = counts[:, l + 1].tolist()
+        weights.update(((l, sets[i]), level[i]) for i in order if len(sets[i]) <= l + 1)
+    return weights
 
 
 def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
@@ -232,19 +291,21 @@ def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
 def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:
     """Expected ``rate(demand, a)`` given that all K requests are distinct.
 
-    Uses the renormalized product measure on the all-distinct rows of
-    ``demand_class_table``; requires K <= N for the conditioning event to be possible.
+    Walks the K-subsets of files, each weighed by the product of its
+    popularities (every ordering is equally likely, and rates ignore order);
+    requires K <= N for the conditioning event to be possible.
     """
     if inst.n_users > inst.n_files:
         raise ValueError("all-distinct conditioning requires K <= N")
+    _key_guard(inst)
     m = as_matrix(a)
-    reps, first, prob = demand_class_table(inst)
-    distinct = first.all(axis=1)
-    weights = prob[distinct].tolist()
+    p = inst.popularity
+    demands = list(combinations(range(1, inst.n_files + 1), inst.n_users))
+    weights = [math.prod(p[f - 1] for f in d) for d in demands]
     total = math.fsum(weights)
     if total == 0.0:
         raise ValueError("all-distinct demands have zero probability")
-    return math.fsum(w * rate(rep, m) for rep, w in zip(reps[distinct].tolist(), weights)) / total
+    return math.fsum(w * rate(d, m) for d, w in zip(demands, weights)) / total
 
 
 def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> float:

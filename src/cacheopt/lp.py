@@ -27,7 +27,7 @@ MAX_ITERATIONS = 500_000
 
 
 class SizeGuardError(RuntimeError):
-    """A problem exceeds the desk-scale enumeration guards."""
+    """A problem exceeds a desk-scale size guard."""
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,26 @@
-"""Shared generators for randomized suites.
+"""Shared generators for randomized suites, and enumeration oracles.
 
 Placements are drawn from inside the popularity-first feasible region by
 stacking rows bottom-up: each file adds a nonnegative increment on top of the
 next-less-popular file's row, spending part of that row's server share, so the
 partition, ordering, and nonnegativity constraints hold by construction.
+
+The oracles compute what the library computes by per-file passes the slow way:
+by listing the demand multiset classes, or, at uniform popularity, by the exact
+rate of Yu, Maddah-Ali and Avestimehr (IEEE Trans. Inf. Theory, 2018).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cacheopt.bounds import distinct_set_probability, enumerate_distinct_sets
+from cacheopt.delivery import leader_group
 from cacheopt.lp import LpProblem
 from cacheopt.model import Instance, binom, cache_used, placement_program
 
@@ -65,6 +72,98 @@ def full_epigraph_problem(inst: Instance) -> LpProblem:
     c = np.concatenate([np.zeros(n * (k + 1)),
                         [distinct_set_probability(inst, D) for D in dsets]])
     return placement_program(inst, c, (np.array(lhs), np.array(owner)))
+
+
+def demand_class_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The demand multiset classes as one table ``(reps, first, prob)``.
+
+    ``reps[c]`` is class c's sorted representative demand (1-based files,
+    classes in lexicographic order), ``first[c, j]`` is True where user j + 1
+    is its file's first requester, and ``prob[c]`` is the class probability: the
+    running product of the requested popularities times K! / prod(count!).
+    """
+    n, k = inst.n_files, inst.n_users
+    count = math.comb(n + k - 1, k)
+    reps = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(1, n + 1), k)),
+        dtype=np.intp, count=count * k).reshape(count, k)
+    first = np.ones(reps.shape, dtype=bool)
+    first[:, 1:] = reps[:, 1:] != reps[:, :-1]
+    prob, mult, run = np.ones(count), np.ones(count, dtype=np.int64), np.zeros(count, np.int64)
+    for j in range(k):
+        prob *= inst.popularity[reps[:, j] - 1]
+        run = np.where(first[:, j], 1, run + 1)
+        # the multinomial of users 1..j+1: an integer <= N^(j+1) at every step, so exact
+        mult = mult * (j + 1) // run
+    return reps, first, prob * mult
+
+
+def demand_classes(inst: Instance):
+    """The rows of ``demand_class_table`` as (representative, probability)."""
+    reps, _, prob = demand_class_table(inst)
+    yield from zip(map(tuple, reps.tolist()), prob.tolist())
+
+
+def enumerated_message_weights(inst: Instance, scheme: str) -> dict:
+    """``message_weights`` by walking every user subset of every demand class."""
+    weights: dict = {}
+    for rep, prob in demand_classes(inst):
+        leaders = {u - 1 for u in leader_group(rep).users}
+        for size in range(1, inst.n_users + 1):
+            for subset in itertools.combinations(range(inst.n_users), size):
+                if scheme == "ccs" or leaders.intersection(subset):
+                    key = (size - 1, tuple(sorted({rep[u] for u in subset})))
+                    weights[key] = weights.get(key, 0.0) + prob
+    return dict(sorted(weights.items()))
+
+
+def redundancy_probabilities(inst: Instance) -> np.ndarray:
+    """P[i, u, n]: the probability that the demand has u distinct requests and
+    that file n is requested by the i-th non-leader user, non-leaders ranked
+    by their request's popularity (ascending file index)."""
+    n, k = inst.n_files, inst.n_users
+    reps, first, prob = demand_class_table(inst)
+    redundant = ~first
+    rank = np.cumsum(redundant, axis=1)
+    distinct = np.broadcast_to(first.sum(axis=1)[:, None], reps.shape)
+    p_iun = np.zeros((k + 1, k + 1, n + 1))
+    np.add.at(p_iun, (rank[redundant], distinct[redundant], reps[redundant]),
+              np.broadcast_to(prob[:, None], reps.shape)[redundant])
+    return p_iun
+
+
+def enumerated_g(inst: Instance) -> np.ndarray:
+    """The redundancy-removing coefficients g from ``redundancy_probabilities``.
+
+    The baseline's coefficient is a telescoping power of tail probabilities;
+    at level l, C(K-u-i, l) redundant subsets are padded by the i-th ranked
+    non-leader request, so that request's file gives them back.
+    """
+    n, k = inst.n_files, inst.n_users
+    tails = np.concatenate([np.cumsum(inst.popularity[::-1])[::-1], [0.0]])
+    g = np.zeros((n, k + 1))
+    for l in range(k):
+        g[:, l] = binom(k, l + 1) * (tails[:-1] ** (l + 1) - tails[1:] ** (l + 1))
+    p_iun = redundancy_probabilities(inst)
+    for u in range(1, min(n, k) + 1):
+        for l in range(0, k - u):
+            for i in range(1, k - u - l + 1):
+                g[:, l] -= binom(k - u - i, l) * p_iun[i, u, 1:]
+    return g
+
+
+def yu_uniform_rate(n: int, k: int, t: int) -> Fraction:
+    """Exact average rate at M = N t / K under uniform demand, uncoded placement:
+    E[C(K, t+1) - C(K - N_e, t+1)] / C(K, t), with N_e the number of distinct
+    requests, P(N_e = u) = C(N, u) S(K, u) u! / N^K and S a Stirling number of
+    the second kind."""
+    stirling = [[1] + [0] * k]
+    for _ in range(k):
+        prev = stirling[-1]
+        stirling.append([0] + [u * prev[u] + prev[u - 1] for u in range(1, k + 1)])
+    return sum(Fraction(math.comb(n, u) * stirling[k][u] * math.factorial(u), n ** k)
+               * (math.comb(k, t + 1) - math.comb(k - u, t + 1))
+               for u in range(1, min(n, k) + 1)) / math.comb(k, t)
 
 
 @pytest.fixture

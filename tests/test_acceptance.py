@@ -17,7 +17,6 @@ from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
 from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
 from cacheopt.delivery import (
     conditional_expected_rate_distinct,
-    demand_classes,
     expected_rate,
     rate_mccs,
     rate_mccs_lemma3,
@@ -26,7 +25,7 @@ from cacheopt.bounds import conditional_expected_bound_distinct
 from cacheopt.model import Instance, validate_placement
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
-from conftest import random_popularity, random_q_placement
+from conftest import demand_classes, random_popularity, random_q_placement
 
 SEED = 20240801
 

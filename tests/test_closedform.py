@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from cacheopt.closedform import (
-    avg_rate_ccs_closed,
-    avg_rate_closed,
-    g_coefficients,
-    redundancy_probabilities,
-)
+from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed, g_coefficients
 from cacheopt.delivery import expected_rate
 from cacheopt.model import Instance, binom
 
-from conftest import random_popularity, random_q_instance
+from conftest import random_popularity, random_q_instance, redundancy_probabilities
 
 
 class TestRedundancyProbabilities:

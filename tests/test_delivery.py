@@ -16,7 +16,6 @@ from cacheopt.closedform import g_coefficients
 from cacheopt.delivery import (
     coded_message_size,
     conditional_expected_rate_distinct,
-    demand_classes,
     distinct_set,
     expected_rate,
     leader_group,
@@ -28,8 +27,16 @@ from cacheopt.delivery import (
 )
 from cacheopt.lp import SizeGuardError
 from cacheopt.model import Instance, binom, is_popularity_first
+from cacheopt.optimizer import one_group_candidate
 
-from conftest import random_popularity, random_q_instance
+from conftest import (
+    demand_classes,
+    enumerated_g,
+    enumerated_message_weights,
+    random_popularity,
+    random_q_instance,
+    yu_uniform_rate,
+)
 
 K2_MATRIX = np.array([[0.2, 0.4, 0.0], [0.6, 0.2, 0.0]])
 K2_INSTANCE = Instance(2, 2, 0.6, [0.6, 0.4])
@@ -163,6 +170,8 @@ class TestLemma3Form:
 
 
 class TestDemandClasses:
+    """The enumeration oracle the per-file passes are checked against."""
+
     def test_probabilities_sum_to_one(self):
         inst = Instance(3, 4, 1.0, [0.5, 0.3, 0.2])
         total = sum(prob for _, prob in demand_classes(inst))
@@ -190,6 +199,11 @@ class TestDemandClasses:
         assert [rep.count(1) for rep, _ in classes] == list(range(21, -1, -1))
         np.testing.assert_allclose([prob for _, prob in classes], pmf, rtol=0, atol=1e-15)
         assert math.fsum(prob for _, prob in classes) == pytest.approx(1.0, abs=1e-15)
+        # the per-file pass joins C(21, c) request placements as floats
+        assert distinct_set_probability(inst, (1,)) == pytest.approx(pmf[0], rel=1e-14)
+        assert distinct_set_probability(inst, (2,)) == pytest.approx(pmf[-1], rel=1e-14)
+        assert distinct_set_probability(inst, (1, 2)) == pytest.approx(
+            math.fsum(pmf[1:-1]), abs=1e-15)
 
 
 class TestExpectedRate:
@@ -226,21 +240,25 @@ class TestExpectedRate:
 
     def test_size_guard(self):
         inst = Instance(30, 8, 1.0, np.full(30, 1 / 30))
-        with pytest.raises(SizeGuardError):
-            expected_rate("mccs", inst, np.tile([1.0] + [0.0] * 8, (30, 1)))
-        # the guard sits in demand_class_table, so every enumeration shares it
-        with pytest.raises(SizeGuardError):
-            g_coefficients(inst)
-        with pytest.raises(SizeGuardError):
-            next(demand_classes(inst))
-        with pytest.raises(SizeGuardError):
-            conditional_expected_rate_distinct(inst, np.tile([1.0] + [0.0] * 8, (30, 1)))
-        # N^K = 2^20 passes, but 21 classes x (2^20 - 1) user subsets do not
-        wide = Instance(2, 20, 1.0, [0.6, 0.4])
+        server = np.tile([1.0] + [0.0] * 8, (30, 1))
+        # 12,440,544 (level, file set) keys: refused before anything is allocated
         start = time.perf_counter()
-        with pytest.raises(SizeGuardError, match="user subsets"):
-            expected_rate("mccs", wide, np.tile([1.0] + [0.0] * 20, (2, 1)))
+        with pytest.raises(SizeGuardError, match="keys"):
+            expected_rate("mccs", inst, server)
+        with pytest.raises(SizeGuardError, match="keys"):
+            conditional_expected_rate_distinct(inst, server)
         assert time.perf_counter() - start < 1.0
+        # the coefficients need no keys: one backward pass over the files
+        g = g_coefficients(inst).g
+        for t in range(9):
+            placement = one_group_candidate(Instance(30, 8, 30 * t / 8, inst.popularity), 30)
+            assert float(np.sum(g * placement.matrix)) == pytest.approx(
+                float(yu_uniform_rate(30, 8, t)), abs=1e-12)
+        # 59 keys: 21 demand classes x (2^20 - 1) user subsets are never listed
+        wide = Instance(2, 20, 1.0, [0.6, 0.4])
+        one = 0.6 ** 20 + 0.4 ** 20
+        assert expected_rate("mccs", wide, np.tile([1.0] + [0.0] * 20, (2, 1))) == pytest.approx(
+            1 * one + 2 * (1 - one), abs=1e-12)
 
     def test_unknown_rate_fn(self):
         with pytest.raises(ValueError):
@@ -270,6 +288,24 @@ class TestMessageWeights:
             for (l, files), w in message_weights(inst, scheme).items():
                 folded[min(files) - 1, l] += w
             np.testing.assert_allclose(folded, g, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_enumeration(self, n, k, seed):
+        inst = Instance(n, k, 0.0, random_popularity(n, np.random.default_rng(seed)))
+        for scheme in ("mccs", "ccs"):
+            want, got = enumerated_message_weights(inst, scheme), message_weights(inst, scheme)
+            assert list(got) == list(want)
+            np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(g_coefficients(inst).g, enumerated_g(inst), rtol=0, atol=1e-13)
+
+    def test_zero_popularity_keys(self):
+        # a file nobody requests still keys its messages, at weight zero
+        inst = Instance(3, 2, 0.0, [0.6, 0.4, 0.0])
+        for scheme in ("mccs", "ccs"):
+            weights = message_weights(inst, scheme)
+            assert list(weights) == list(enumerated_message_weights(inst, scheme))
+            assert weights[(0, (3,))] == 0.0 and weights[(1, (2, 3))] == 0.0
 
 
 def all_distinct_classes(inst):
