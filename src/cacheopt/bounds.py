@@ -5,7 +5,9 @@ every ordering pi of D yields the rate sum_{l<K} sum_i C(K-i,l) a_{pi(i),l},
 and the bound takes the best ordering, found by a subset DP in |D| 2^(|D|-1)
 steps without listing the |D|! orderings.  Averaging over D with the exact
 distinct-set probabilities and minimizing over feasible placements gives three
-LPs, each returning the ``model.LpOptimum`` of ``solve_placement``:
+LPs, each returning the ``model.LpOptimum`` of ``solve_placement``.  The sets
+D and their probabilities come from ``delivery.file_sets``, whose key guard
+covers every bound:
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
@@ -26,12 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import lru_cache
-from itertools import combinations, groupby
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .delivery import _set_probabilities, conditional_expected_distinct
+from .delivery import _set_probabilities, conditional_expected_distinct, file_sets
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     DistinctSet,
@@ -139,17 +140,9 @@ def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:
 
 
 def enumerate_distinct_sets(inst: Instance) -> Iterator[tuple[int, ...]]:
-    """All possible distinct sets, by size then lexicographically."""
-    for size in range(1, min(inst.n_files, inst.n_users) + 1):
-        yield from combinations(range(1, inst.n_files + 1), size)
-
-
-def _distinct_set_table(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(files, prob) per set size, in enumerate_distinct_sets order: files[d]
-    holds set d's zero-based files and prob[d] its probability."""
-    by_size = groupby(enumerate_distinct_sets(inst), len)
-    files = [np.array(list(group), dtype=np.intp) - 1 for _, group in by_size]
-    return [(f, _set_probabilities(inst, f)) for f in files]
+    """All possible distinct sets, by size then lexicographically: ``file_sets``, 1-based."""
+    for files in file_sets(inst):
+        yield from map(tuple, (files + 1).tolist())
 
 
 def _generated_bound(inst: Instance) -> LpOptimum:
@@ -166,7 +159,7 @@ def _generated_bound(inst: Instance) -> LpOptimum:
     if n_rows > MAX_PERMUTATION_ROWS:
         raise SizeGuardError(
             f"{n_rows} ordering constraints exceed the {MAX_PERMUTATION_ROWS}-row guard")
-    table = _distinct_set_table(inst)
+    table = [(files, _set_probabilities(inst, files)) for files in file_sets(inst)]
     c = np.concatenate([np.zeros(n * (k + 1))] + [prob for _, prob in table])
     first = np.cumsum([0] + [len(files) for files, _ in table])  # first set of each size
     w, radix = _position_weights(k, top), top ** top  # row key: set * radix + ordering digits
@@ -219,7 +212,8 @@ def p2_objective(inst: Instance) -> np.ndarray:
     prob(D) * C(K - rank_D(n), l), rank taken in popularity order.
     """
     w = np.zeros((inst.n_files, inst.n_users + 1))
-    for files, prob in _distinct_set_table(inst):  # rows ascending = popularity order
+    for files in file_sets(inst):  # rows ascending = popularity order
+        prob = _set_probabilities(inst, files)
         pw = _position_weights(inst.n_users, files.shape[1])
         np.add.at(w, (files, slice(inst.n_users)), prob[:, None, None] * pw)
     return w

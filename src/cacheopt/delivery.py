@@ -9,14 +9,17 @@ Two delivery strategies are evaluated on the same placement:
 
 Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
-Expectations over random demands are exact and list no demands.  Users request
+Expectations over random demands are exact and list no demands.  Both the
+bounds and the padded messages sum over requested-file sets, and
+``file_sets`` lists them once: one array per set size, guarded on the
+(level, file set) keys before anything is allocated.  Users request
 independently, so a demand's weight factors over files, and ``_join`` adds one
 file: c more users request it and b of those c join a message's user subset.
 Forward over the files of each set it gives the distinct-set probabilities of
 ``bounds`` and ``message_weights`` (the expected messages behind the exact
 expected rates and P4); backward over all files it gives the coefficients of
-``closedform``.  Only this module knows the step's state layout.  The
-all-distinct conditional expectations walk the K-subsets of files.
+``closedform``.  The all-distinct conditional expectations read the table's
+size-K block.  Only this module knows the step's state layout and the table's.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -196,12 +199,18 @@ def _join(ways: np.ndarray, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi @ placed.reshape(k + 1, (k + 1) * states, rows)
 
 
-def _key_guard(inst: Instance):
-    """Raise ``SizeGuardError`` when the (level, file set) keys exceed ``KEY_GUARD``."""
+def file_sets(inst: Instance) -> list[np.ndarray]:
+    """The file-set table: per size s = 1..min(N, K), the C(N, s) x s array of
+    zero-based file sets in ``combinations`` order.  Raises ``SizeGuardError``
+    first when the (level, file set) keys sum_s C(N, s) (K - s + 1) exceed
+    ``KEY_GUARD``."""
     n, k = inst.n_files, inst.n_users
     keys = sum(math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1))
     if keys > KEY_GUARD:
         raise SizeGuardError(f"{keys} (level, file set) keys exceed the {KEY_GUARD}-key guard")
+    return [np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=np.intp,
+                        count=math.comb(n, s) * s).reshape(-1, s)
+            for s in range(1, min(n, k) + 1)]
 
 
 def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray) -> np.ndarray:
@@ -250,32 +259,25 @@ def _by_most_popular(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     return counts[0], counts[1]
 
 
-def message_weights(inst: Instance, scheme: str) -> dict[tuple[int, tuple[int, ...]], float]:
-    """Expected message count per key (level l, requested-file set), keys sorted.
+def message_weights(inst: Instance, scheme: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Expected message counts, one (files, W) pair per block of ``file_sets``.
 
     A message for user subset U has level l = |U| - 1 and is padded to
-    max_{f in files} a[f, l], so its size depends only on the file set S that U
-    requests.  Every (l, S) with |S| <= l + 1 is a key, zero weights included.
-    One forward pass per set S counts every subset for 'ccs' and for 'mccs'
-    those meeting a leader.  Guarded on the keys.
+    max_{f in S} a[f, l], so its size depends only on the file set S that U
+    requests.  W[i, l] is the expected number of level-l messages whose users
+    request exactly the files of row i of ``files``; it is zero for l < s - 1
+    at set size s.  One forward pass per set counts every subset for 'ccs' and
+    for 'mccs' those meeting a leader.
     """
     if scheme not in ("mccs", "ccs"):
         raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
-    _key_guard(inst)
-    n, k = inst.n_files, inst.n_users
-    sets, counts = [], []
-    for size in range(1, min(n, k) + 1):
-        sets_of_size = list(combinations(range(1, n + 1), size))
-        ways = _forward(inst, np.array(sets_of_size, dtype=np.intp) - 1,
-                        _choices(k, 1, k), _choices(k, 0, 0))
-        counts.append(ways[:, k + 1:] if scheme == "mccs" else ways[:, k + 1:] + ways[:, :k + 1])
-        sets += sets_of_size
-    counts, order = np.concatenate(counts), sorted(range(len(sets)), key=sets.__getitem__)
-    weights = {}
-    for l in range(k):  # keys in sorted order, built once: the table is the largest allocation
-        level = counts[:, l + 1].tolist()
-        weights.update(((l, sets[i]), level[i]) for i in order if len(sets[i]) <= l + 1)
-    return weights
+    k = inst.n_users
+    blocks = []
+    for files in file_sets(inst):
+        ways = _forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0))
+        w = ways[:, k + 2:] if scheme == "mccs" else ways[:, k + 2:] + ways[:, 1:k + 1]
+        blocks.append((files, np.ascontiguousarray(w)))  # drops the forward pass's other states
+    return blocks
 
 
 def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
@@ -284,23 +286,23 @@ def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
     The ``math.fsum`` of W * max_{f in files} a[f, l] over ``message_weights``.
     """
     m = as_matrix(a)
-    return math.fsum(w * max(m[f - 1, l] for f in files)
-                     for (l, files), w in message_weights(inst, rate_fn).items())
+    terms = ((w[:, l] * m[files, l].max(axis=1)).tolist()
+             for files, w in message_weights(inst, rate_fn)
+             for l in range(files.shape[1] - 1, w.shape[1]))  # W is zero below level s - 1
+    return math.fsum(chain.from_iterable(terms))
 
 
 def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:
     """Expected ``rate(demand, a)`` given that all K requests are distinct.
 
-    Walks the K-subsets of files, each weighed by the product of its
-    popularities (every ordering is equally likely, and rates ignore order);
+    Walks the size-K block of ``file_sets``, each set weighed by the product of
+    its popularities (every ordering is equally likely, and rates ignore order);
     requires K <= N for the conditioning event to be possible.
     """
     if inst.n_users > inst.n_files:
         raise ValueError("all-distinct conditioning requires K <= N")
-    _key_guard(inst)
-    m = as_matrix(a)
-    p = inst.popularity
-    demands = list(combinations(range(1, inst.n_files + 1), inst.n_users))
+    m, p = as_matrix(a), inst.popularity
+    demands = list(map(tuple, (file_sets(inst)[-1] + 1).tolist()))
     weights = [math.prod(p[f - 1] for f in d) for d in demands]
     total = math.fsum(weights)
     if total == 0.0:

@@ -268,18 +268,20 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     """Exact average-rate minimization for nonuniform sizes, no order restriction.
 
     One epigraph variable per (message level, requested-file set) key of
-    ``message_weights`` bounds the padded message size, with one row per file
-    in the set; its objective weight is the key's expected message count.
+    ``message_weights``, by level and then by set size, bounds the padded
+    message size, with one row per file in the set; its objective weight is
+    the key's expected message count.
     """
     n, k = inst.n_files, inst.n_users
     if k > P4_MAX_USERS or n > P4_MAX_FILES:
         raise SizeGuardError(
             f"unrestricted placement LP guarded to K <= {P4_MAX_USERS}, N <= {P4_MAX_FILES}")
     weights = message_weights(inst, "mccs")
-    n_a = n * (k + 1)
-    rows = [(j, (f - 1) * (k + 1) + l) for j, (l, files) in enumerate(weights) for f in files]
-    owner, col = np.array(rows).T
-    lhs = np.zeros((len(rows), n_a))
-    lhs[np.arange(len(rows)), col] = 1.0
-    c = np.concatenate([np.zeros(n_a), list(weights.values())])
+    cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)
+                         for files, w in weights if files.shape[1] <= l + 1])
+    n_a, width = n * (k + 1), np.concatenate([np.full(len(b), b.shape[1]) for b in cols])
+    owner, col = np.repeat(np.arange(len(width)), width), np.concatenate([b.ravel() for b in cols])
+    lhs = np.zeros((len(col), n_a))
+    lhs[np.arange(len(col)), col] = 1.0
+    c = np.concatenate([np.zeros(n_a), *counts])
     return solve_placement(placement_program(inst, c, (lhs, owner)), inst)

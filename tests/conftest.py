@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from cacheopt.bounds import distinct_set_probability, enumerate_distinct_sets
-from cacheopt.delivery import leader_group
+from cacheopt.delivery import leader_group, message_weights
 from cacheopt.lp import LpProblem
 from cacheopt.model import Instance, binom, cache_used, placement_program
 
@@ -114,6 +114,16 @@ def enumerated_message_weights(inst: Instance, scheme: str) -> dict:
                 if scheme == "ccs" or leaders.intersection(subset):
                     key = (size - 1, tuple(sorted({rep[u] for u in subset})))
                     weights[key] = weights.get(key, 0.0) + prob
+    return dict(sorted(weights.items()))
+
+
+def message_weight_dict(inst: Instance, scheme: str) -> dict:
+    """``message_weights`` folded into {(level, 1-based file tuple): weight},
+    keys sorted: every (l, files) with |files| <= l + 1, zero weights included."""
+    weights = {}
+    for files, w in message_weights(inst, scheme):
+        for row, ws in zip((files + 1).tolist(), w.tolist()):
+            weights.update(((l, tuple(row)), ws[l]) for l in range(len(row) - 1, inst.n_users))
     return dict(sorted(weights.items()))
 
 

@@ -20,7 +20,7 @@ from cacheopt.bounds import (
     rlb_general,
     rlb_popfirst,
 )
-from cacheopt.delivery import expected_rate
+from cacheopt.delivery import _set_probabilities, expected_rate, file_sets
 from cacheopt.lp import SizeGuardError, solve, solve_via_dual
 from cacheopt.model import Instance, binom, validate_placement
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
@@ -158,8 +158,8 @@ class TestDistinctSetProbability:
             key = tuple(sorted(set(rep)))
             if len(key) >= 3:
                 exact[key] = exact.get(key, 0) + ways * math.prod(p[f - 1] for f in rep)
-        table = {tuple(row + 1): prob for files, prob in B._distinct_set_table(inst)
-                 for row, prob in zip(files, prob)}
+        table = {tuple(row + 1): prob for files in file_sets(inst)
+                 for row, prob in zip(files, _set_probabilities(inst, files))}
         assert len(exact) == sum(math.comb(10, size) for size in range(3, 7))
         sets = sorted(exact)
         want = [float(exact[D]) for D in sets]

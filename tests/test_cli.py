@@ -100,6 +100,11 @@ class TestOptimizeCommand:
                                "--cache", "1", "--zipf", "0.5")
         assert code == 3
         assert "guard" in err
+        # P2 reads the file-set table, refused on its (level, file set) keys
+        code, out, err = run_cli(capsys, "bound", "--which", "p2", "--files", "30", "--users", "8",
+                                 "--cache", "3", "--zipf", "0.8")
+        assert code == 3 and out == ""
+        assert "keys" in err
 
 
 class TestBoundCommand:

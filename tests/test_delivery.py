@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from cacheopt.bounds import (
     distinct_set_probability,
     enumerate_distinct_sets,
+    lower_bound_p2,
     rlb_popfirst,
 )
 from cacheopt.closedform import g_coefficients
@@ -33,6 +35,7 @@ from conftest import (
     demand_classes,
     enumerated_g,
     enumerated_message_weights,
+    message_weight_dict,
     random_popularity,
     random_q_instance,
     yu_uniform_rate,
@@ -247,6 +250,8 @@ class TestExpectedRate:
             expected_rate("mccs", inst, server)
         with pytest.raises(SizeGuardError, match="keys"):
             conditional_expected_rate_distinct(inst, server)
+        with pytest.raises(SizeGuardError, match="keys"):
+            lower_bound_p2(inst)  # its distinct sets come from the same guarded table
         assert time.perf_counter() - start < 1.0
         # the coefficients need no keys: one backward pass over the files
         g = g_coefficients(inst).g
@@ -267,13 +272,29 @@ class TestExpectedRate:
             message_weights(K2_INSTANCE, "nope")
 
 
+class TestMemory:
+    def test_expected_rate_peak(self):
+        # Zipf (40,4): 102,090 file sets and 113,650 (level, file set) keys.  A
+        # dict keyed by (level, file tuple) peaks at 38.4-38.8 MiB on a 2-core
+        # x86-64 host, about 350 bytes per key; the per-size arrays take at most half.
+        inst = Instance.from_zipf(40, 4, 10.0, 0.8)
+        placement = one_group_candidate(inst, 40).matrix
+        tracemalloc.start()
+        try:
+            expected_rate("mccs", inst, placement)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19.2 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
 class TestMessageWeights:
     def test_worked_example(self):
         # d = (1,1) w.p. 0.36, (1,2)/(2,1) w.p. 0.48, (2,2) w.p. 0.16
-        assert message_weights(K2_INSTANCE, "mccs") == pytest.approx({
+        assert message_weight_dict(K2_INSTANCE, "mccs") == pytest.approx({
             (0, (1,)): 0.36 + 0.48, (0, (2,)): 0.48 + 0.16,
             (1, (1,)): 0.36, (1, (1, 2)): 0.48, (1, (2,)): 0.16})
-        assert message_weights(K2_INSTANCE, "ccs")[(0, (1,))] == pytest.approx(2 * 0.36 + 0.48)
+        assert message_weight_dict(K2_INSTANCE, "ccs")[(0, (1,))] == pytest.approx(2 * 0.36 + 0.48)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
@@ -285,7 +306,7 @@ class TestMessageWeights:
         coeffs = g_coefficients(inst)
         for scheme, g in (("mccs", coeffs.g), ("ccs", coeffs.g_ccs)):
             folded = np.zeros((n, k + 1))
-            for (l, files), w in message_weights(inst, scheme).items():
+            for (l, files), w in message_weight_dict(inst, scheme).items():
                 folded[min(files) - 1, l] += w
             np.testing.assert_allclose(folded, g, rtol=0, atol=1e-12)
 
@@ -294,7 +315,7 @@ class TestMessageWeights:
     def test_matches_enumeration(self, n, k, seed):
         inst = Instance(n, k, 0.0, random_popularity(n, np.random.default_rng(seed)))
         for scheme in ("mccs", "ccs"):
-            want, got = enumerated_message_weights(inst, scheme), message_weights(inst, scheme)
+            want, got = enumerated_message_weights(inst, scheme), message_weight_dict(inst, scheme)
             assert list(got) == list(want)
             np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-13)
         np.testing.assert_allclose(g_coefficients(inst).g, enumerated_g(inst), rtol=0, atol=1e-13)
@@ -303,7 +324,7 @@ class TestMessageWeights:
         # a file nobody requests still keys its messages, at weight zero
         inst = Instance(3, 2, 0.0, [0.6, 0.4, 0.0])
         for scheme in ("mccs", "ccs"):
-            weights = message_weights(inst, scheme)
+            weights = message_weight_dict(inst, scheme)
             assert list(weights) == list(enumerated_message_weights(inst, scheme))
             assert weights[(0, (3,))] == 0.0 and weights[(1, (2, 3))] == 0.0
 
