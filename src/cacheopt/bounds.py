@@ -12,8 +12,9 @@ covers every bound:
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
   one constraint per ordering, generated only while violated (a cutting-plane
-  loop from each set's popularity order).  MAX_PERMUTATION_ROWS caps
-  sum_D |D|!, the most rows the loop can reach.
+  loop from each set's popularity order).  Each round first sizes its
+  program's dual tableau (``model.check_epigraph_program``), the one LP size
+  guard; it bounds memory, not time.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed.
@@ -25,7 +26,6 @@ P1 and P2 reject nonuniform sizes rather than silently solving P5's program.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
@@ -41,21 +41,21 @@ from .model import (
     PlacementLike,
     as_matrix,
     binom,
+    check_epigraph_program,
+    file_rows,
     is_popularity_first,
     placement_program,
     solve_placement,
 )
 
-MAX_PERMUTATION_ROWS = 60_000
 MAX_DISTINCT_SET = 10
 
 DistinctLike = Union[DistinctSet, Sequence[int]]
 
 
-def _distinct_files(D: DistinctLike) -> tuple[int, ...]:
-    if isinstance(D, DistinctSet):
-        return D.files
-    return tuple(sorted({int(v) for v in D}))
+def _distinct_rows(D: DistinctLike, n_files: int) -> np.ndarray:
+    """Zero-based rows of D's distinct files, ascending (``model.file_rows``)."""
+    return file_rows(D.files if isinstance(D, DistinctSet) else sorted({int(v) for v in D}), n_files)
 
 
 @lru_cache(maxsize=None)
@@ -111,12 +111,12 @@ def _best_orderings(scores: np.ndarray, floor: np.ndarray | None = None):
 
 def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
     """Per-distinct-set bound: the best of all |D|! orderings of D."""
-    files = _distinct_files(D)
-    if len(files) > MAX_DISTINCT_SET:
-        raise SizeGuardError(
-            f"|D| = {len(files)} exceeds the {MAX_DISTINCT_SET}-file guard of the best-ordering DP")
     m = as_matrix(a)
-    scores = m[[f - 1 for f in files], :-1] @ _position_weights(m.shape[1] - 1, len(files)).T
+    rows = _distinct_rows(D, len(m))
+    if len(rows) > MAX_DISTINCT_SET:
+        raise SizeGuardError(
+            f"|D| = {len(rows)} exceeds the {MAX_DISTINCT_SET}-file guard of the best-ordering DP")
+    scores = m[rows, :-1] @ _position_weights(m.shape[1] - 1, len(rows)).T
     return float(_best_orderings(scores))
 
 
@@ -128,15 +128,15 @@ def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
     m = as_matrix(a)
     if not is_popularity_first(m):
         raise ValueError("rlb_popfirst requires a popularity-first placement")
-    files = _distinct_files(D)
+    rows = _distinct_rows(D, len(m))
     k = m.shape[1] - 1
-    w = _position_weights(k, len(files))
-    return float(sum(w[i] @ m[f - 1, :k] for i, f in enumerate(files)))
+    w = _position_weights(k, len(rows))
+    return float(sum(w[i] @ m[r, :k] for i, r in enumerate(rows)))
 
 
 def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:
     """P(Unique(d) = D), summed over the request counts of D's files."""
-    return float(_set_probabilities(inst, np.array([_distinct_files(D)], dtype=np.intp) - 1)[0])
+    return float(_set_probabilities(inst, _distinct_rows(D, inst.n_files)[None])[0])
 
 
 def enumerate_distinct_sets(inst: Instance) -> Iterator[tuple[int, ...]]:
@@ -155,17 +155,15 @@ def _generated_bound(inst: Instance) -> LpOptimum:
     the full optimum.  Rows keep the table's order; iterations sums pivots.
     """
     n, k, top = inst.n_files, inst.n_users, min(inst.n_files, inst.n_users)
-    n_rows = sum(math.perm(n, size) for size in range(1, top + 1))
-    if n_rows > MAX_PERMUTATION_ROWS:
-        raise SizeGuardError(
-            f"{n_rows} ordering constraints exceed the {MAX_PERMUTATION_ROWS}-row guard")
     table = [(files, _set_probabilities(inst, files)) for files in file_sets(inst)]
     c = np.concatenate([np.zeros(n * (k + 1))] + [prob for _, prob in table])
     first = np.cumsum([0] + [len(files) for files, _ in table])  # first set of each size
     w, radix = _position_weights(k, top), top ** top  # row key: set * radix + ordering digits
     picks = [(np.arange(len(f)), np.tile(np.arange(f.shape[1]), (len(f), 1))) for f, _ in table]
     blocks, pivots = [], 0
-    while True:
+    while True:  # size this round's program before building its rows
+        check_epigraph_program(inst, first[-1], sum(len(key) for _, key in blocks)
+                               + sum(len(sets) for sets, _ in picks))
         for (files, _), start, (sets, orders) in zip(table, first, picks):
             at = np.take_along_axis(files[sets], orders, axis=1)  # file at position i + 1
             rows = np.zeros((len(sets), n, k + 1))

@@ -88,11 +88,8 @@ def _build_instance(args, need_cache: bool = True) -> tuple[Instance, np.ndarray
 
 
 def _placement_table(matrix: np.ndarray) -> str:
-    n, kp1 = matrix.shape
-    header = "l    " + " ".join(f"a_{j + 1:<6d}" for j in range(n))
-    lines = [header]
-    for l in range(kp1):
-        lines.append(f"{l:<4d} " + " ".join(f"{matrix[fi, l]:<8.4f}" for fi in range(n)))
+    lines = ["l    " + " ".join(f"a_{j + 1:<6d}" for j in range(matrix.shape[0]))]
+    lines += [f"{l:<4d} " + " ".join(f"{v:<8.4f}" for v in col) for l, col in enumerate(matrix.T)]
     return "\n".join(lines) + "\n"
 
 
@@ -217,10 +214,8 @@ def cmd_sweep(args) -> int:
     else:
         rows = list(map(_sweep_point, xs, points, repeat(outputs)))
 
-    header = "x," + ",".join(outputs)
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fixed6(row[name]) for name in ("x",) + outputs))
+    lines = ["x," + ",".join(outputs)]
+    lines += [",".join(_fixed6(row[name]) for name in ("x",) + outputs) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -288,11 +283,9 @@ def cmd_selftest(args) -> int:
     p3 = optimizer.solve_p3_lp(inst3)
     checks.append(("grouping search matches placement LP", abs(rep.rate_mccs - p3.value) < 1e-6))
 
-    failed = 0
     for name, ok in checks:
         print(("PASS" if ok else "FAIL") + f"  {name}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (
     as_matrix,
     as_requests,
     binom,
+    file_rows,
     is_popularity_first,
 )
 
@@ -83,10 +84,7 @@ def redundancy_profile(d: DemandLike) -> RedundancyProfile:
     requests = as_requests(d)
     files = sorted(set(requests))
     per_file = tuple(requests.count(f) - 1 for f in files)
-    cum = [0]
-    for v in per_file:
-        cum.append(cum[-1] + v)
-    return RedundancyProfile(tuple(files), per_file, tuple(cum))
+    return RedundancyProfile(tuple(files), per_file, tuple(accumulate(per_file, initial=0)))
 
 
 def coded_message_size(subset, d: DemandLike, a: PlacementLike) -> float:
@@ -94,10 +92,10 @@ def coded_message_size(subset, d: DemandLike, a: PlacementLike) -> float:
     users = tuple(subset)
     if not users:
         raise ValueError("subset must be nonempty")
-    requests = as_requests(d)
     m = as_matrix(a)
+    rows = file_rows(as_requests(d), len(m))
     l = len(users) - 1
-    return float(max(m[requests[k - 1] - 1, l] for k in users))
+    return float(max(m[rows[k - 1], l] for k in users))
 
 
 def _rate_with_leaders(requests: tuple[int, ...], m: np.ndarray,
@@ -106,7 +104,7 @@ def _rate_with_leaders(requests: tuple[int, ...], m: np.ndarray,
     k_users = len(requests)
     leader_set = set(leaders) if leaders is not None else None
     total = 0.0
-    rows = [m[f - 1] for f in requests]
+    rows = m[file_rows(requests, len(m))]
     for size in range(1, k_users + 1):
         l = size - 1
         for subset in combinations(range(k_users), size):
@@ -143,7 +141,7 @@ def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
     requests = as_requests(d)
     k_users = len(requests)
     prof = redundancy_profile(requests)
-    u = len(prof.distinct)
+    u, rows = len(prof.distinct), file_rows(prof.distinct, len(m))
     total = 0.0
     for i in range(1, u + 1):
         coef = np.zeros(k_users)
@@ -153,7 +151,7 @@ def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
             second = sum(binom(k_users - j - prof.cumulative[i], l)
                          for j in range(i + 1, u + 1))
             coef[l] = first - second
-        total += float(coef @ m[prof.distinct[i - 1] - 1, :k_users])
+        total += float(coef @ m[rows[i - 1], :k_users])
     return total
 
 
@@ -213,12 +211,14 @@ def file_sets(inst: Instance) -> list[np.ndarray]:
             for s in range(1, min(n, k) + 1)]
 
 
-def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """``ways[K]`` of each row of zero-based ``files``, CHUNK rows at a time: the
-    other files join by ``outside`` as one file of their total popularity, then
-    each file of the row joins by ``phi``."""
+def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray,
+             states: np.ndarray) -> np.ndarray:
+    """``ways[K, states]`` of each row of zero-based ``files``, CHUNK rows at a
+    time: the other files join by ``outside`` as one file of their total
+    popularity, then each file of the row joins by ``phi``.  Only the kept
+    ``states`` are written out."""
     n, k, p = inst.n_files, inst.n_users, inst.popularity
-    out = np.empty((len(files), len(phi)))
+    out = np.empty((len(files), len(states)))
     for start in range(0, len(files), CHUNK):
         rows = files[start:start + CHUNK]
         rest = np.ones((len(rows), n), dtype=bool)
@@ -228,7 +228,7 @@ def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.nda
         ways = _join(ways, rest @ p, outside)
         for col in rows.T:
             ways = _join(ways, p[col], phi)
-        out[start:start + CHUNK] = ways[k].T
+        out[start:start + CHUNK] = ways[k, states].T
     return out
 
 
@@ -236,7 +236,7 @@ def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
     """P(Unique(d) = D) for each row D of zero-based ``files``: no user requests
     a file outside D and each file of D is requested, nothing picked."""
     c = np.arange(inst.n_users + 1)[None, :]
-    return _forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0)[:, 0]
+    return _forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0, np.zeros(1, np.intp))[:, 0]
 
 
 def _by_most_popular(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -272,11 +272,12 @@ def message_weights(inst: Instance, scheme: str) -> list[tuple[np.ndarray, np.nd
     if scheme not in ("mccs", "ccs"):
         raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
     k = inst.n_users
+    hits = np.arange(k + 2, 2 * k + 2)  # (leader hit, b = l + 1) for l = 0..K-1
+    states = hits if scheme == "mccs" else np.concatenate([hits, hits - k - 1])  # and the misses
     blocks = []
     for files in file_sets(inst):
-        ways = _forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0))
-        w = ways[:, k + 2:] if scheme == "mccs" else ways[:, k + 2:] + ways[:, 1:k + 1]
-        blocks.append((files, np.ascontiguousarray(w)))  # drops the forward pass's other states
+        ways = _forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0), states)
+        blocks.append((files, ways if scheme == "mccs" else ways[:, :k] + ways[:, k:]))
     return blocks
 
 

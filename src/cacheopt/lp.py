@@ -8,10 +8,12 @@ final reduced costs at its slack columns are the primal point.  The programs
 are often heavily degenerate (many symmetric files produce identical
 coefficients) and must solve bit-reproducibly, so a dense tableau simplex
 with a fixed pivot rule is the right tool.  The standard-form tableau is
-built in one allocation and pivoted in place.  Dantzig pricing is used until
-a degeneracy stall is detected, after which Bland's rule guarantees
-termination.  Row prices are read off the final reduced costs of the slack
-and artificial columns; no second linear solve is made.
+built in one allocation and pivoted in place.  ``_check_dual_tableau`` sizes
+the dual's tableau from a program's dimensions, so callers refuse a program
+past MAX_TABLEAU_BYTES before building it; it bounds memory, not time.
+Dantzig pricing is used until a degeneracy stall is detected, after which
+Bland's rule guarantees termination.  Row prices are read off the final
+reduced costs of the slack and artificial columns; no second linear solve.
 """
 
 from __future__ import annotations
@@ -24,10 +26,22 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 DEGENERATE_STALL = 50
 MAX_ITERATIONS = 500_000
+MAX_TABLEAU_BYTES = 256 * 2 ** 20
 
 
 class SizeGuardError(RuntimeError):
     """A problem exceeds a desk-scale size guard."""
+
+
+def _check_dual_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
+    """Raise SizeGuardError before ``solve_via_dual`` of a program with a
+    nonnegative objective would pivot more than MAX_TABLEAU_BYTES: its dense
+    tableau has a row per primal variable and a column per equality (twice),
+    ``<=`` row and slack, plus the right-hand side.  Memory only, not time."""
+    rows, cols = n_vars, 2 * n_eq + n_ub + n_vars + 1
+    if rows * cols * 8 > MAX_TABLEAU_BYTES:
+        raise SizeGuardError(f"a {rows} x {cols} simplex tableau ({rows * cols * 8 / 2 ** 20:.0f} MiB) "
+                             f"exceeds the {MAX_TABLEAU_BYTES >> 20} MiB tableau guard")
 
 
 @dataclass(frozen=True)
@@ -140,10 +154,7 @@ class _Tableau:
             cand = np.where(eligible & (red < -PIVOT_TOL))[0]
             if cand.size == 0:
                 return "optimal"
-            if bland:
-                col = int(cand[0])
-            else:
-                col = int(cand[np.argmin(red[cand])])
+            col = int(cand[0]) if bland else int(cand[np.argmin(red[cand])])
             colvals = self.T[:, col]
             rows = np.where(colvals > PIVOT_TOL)[0]
             if rows.size == 0:

@@ -37,8 +37,7 @@ def zipf_popularity(n_files: int, theta: float) -> np.ndarray:
 
 def step_popularity() -> np.ndarray:
     """The 12-file step distribution: one hot file, six warm, five cold."""
-    p = np.array([7 / 12] + [1 / 18] * 6 + [1 / 60] * 5)
-    return p
+    return np.array([7 / 12] + [1 / 18] * 6 + [1 / 60] * 5)
 
 
 def ingest_popularity(popularity: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -87,10 +86,8 @@ class Instance:
         if np.any(np.diff(p) > ENTRY_TOL):
             raise ValueError("popularity must be sorted nonincreasing; see ingest_popularity")
         object.__setattr__(self, "popularity", _freeze(p))
-        sizes = self.file_sizes
-        if sizes is None:
-            sizes = np.ones(self.n_files)
-        sizes = np.asarray(sizes, dtype=float)
+        sizes = np.asarray(np.ones(self.n_files) if self.file_sizes is None else self.file_sizes,
+                           dtype=float)
         if sizes.shape != (self.n_files,):
             raise ValueError("file_sizes length must equal n_files")
         if not np.all(np.isfinite(sizes)):
@@ -202,6 +199,14 @@ def as_matrix(a: PlacementLike) -> np.ndarray:
     return m
 
 
+def file_rows(files: Sequence[int], n_files: int) -> np.ndarray:
+    """Zero-based rows of 1-based file indices; ValueError names a file outside 1..N."""
+    for f in files:
+        if not 1 <= f <= n_files:
+            raise ValueError(f"file index {f} outside 1..{n_files}")
+    return np.array(files, dtype=np.intp) - 1
+
+
 @dataclass(frozen=True)
 class Demand:
     """A length-K request vector of 1-based file indices."""
@@ -214,9 +219,7 @@ class Demand:
     def validate(self, n_files: int, n_users: int) -> None:
         if len(self.requests) != n_users:
             raise ValueError(f"demand has {len(self.requests)} entries, expected {n_users}")
-        for v in self.requests:
-            if not 1 <= v <= n_files:
-                raise ValueError(f"file index {v} outside 1..{n_files}")
+        file_rows(self.requests, n_files)
 
     @classmethod
     def parse(cls, text: str) -> "Demand":
@@ -230,9 +233,7 @@ DemandLike = Union[Demand, Sequence[int]]
 
 
 def as_requests(d: DemandLike) -> tuple[int, ...]:
-    if isinstance(d, Demand):
-        return d.requests
-    return tuple(int(v) for v in d)
+    return d.requests if isinstance(d, Demand) else tuple(int(v) for v in d)
 
 
 @dataclass(frozen=True)
@@ -319,6 +320,13 @@ def placement_program(inst: Instance, objective: np.ndarray,
     return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
 
 
+def check_epigraph_program(inst: Instance, n_t: int, n_rows: int) -> None:
+    """Raise SizeGuardError before a ``placement_program`` with n_t epigraph
+    variables and n_rows epigraph rows is built: ``solve_placement`` routes it
+    through the explicit dual, whose tableau ``lp._check_dual_tableau`` sizes."""
+    lp._check_dual_tableau(inst.n_files * (inst.n_users + 1) + n_t, inst.n_files, 1 + n_rows)
+
+
 @dataclass(frozen=True)
 class LpOptimum:
     """An optimal placement of a placement program, its value and simplex pivots."""
@@ -378,10 +386,7 @@ def validate_placement(inst: Instance, a: PlacementLike) -> list[Violation]:
 def is_popularity_first(a: PlacementLike) -> bool:
     """True iff a_{n,l} >= a_{n+1,l} - ENTRY_TOL for every l >= 1."""
     m = as_matrix(a)
-    if m.shape[0] <= 1:
-        return True
-    diffs = m[:-1, 1:] - m[1:, 1:]
-    return bool(np.all(diffs >= -ENTRY_TOL))
+    return bool(np.all(m[:-1, 1:] - m[1:, 1:] >= -ENTRY_TOL))  # vacuous for N <= 1
 
 
 def cache_used(a: PlacementLike, n_users: int) -> float:

@@ -17,7 +17,8 @@ prefix split between the server and one cache level), where the optimum can
 sit under strongly skewed popularity, and the search matches the LP on the
 reference instances and on randomized grids.  ``solve_p4_lp`` drops the
 ordering restriction and handles nonuniform file sizes through an epigraph LP
-with one variable per (message level, requested-file set).
+with one variable per (message level, requested-file set), sized from (N, K)
+by ``model.check_epigraph_program`` before its weights are computed.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ import numpy as np
 from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import g_coefficients, rate_from_coefficients
 from .delivery import message_weights
-from .lp import SizeGuardError
-from .model import Instance, LpOptimum, binom, placement_program, solve_placement
+from .model import (Instance, LpOptimum, binom, check_epigraph_program, placement_program,
+                    solve_placement)
 
 _TOL = 1e-12
-P4_MAX_USERS = 4
-P4_MAX_FILES = 7
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,7 @@ class GroupingCandidate:
         return {"one_group": 1, "three_group": 3}.get(self.kind, 2)
 
     def sort_key(self) -> tuple:
-        n1 = self.n_1 if self.n_1 is not None else 0
-        lo = self.l_o if self.l_o is not None else 0
-        l1 = self.l_1 if self.l_1 is not None else 0
-        return (self.n_groups, self.n_o, n1, lo, l1)
+        return (self.n_groups, self.n_o, *(v or 0 for v in (self.n_1, self.l_o, self.l_1)))
 
 
 @dataclass(frozen=True)
@@ -254,13 +250,10 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
     """The grouping search's problem as an explicit LP (certification path)."""
     if not inst.uniform_sizes:
         raise ValueError("this LP is formulated for uniform file sizes")
-    coeffs = g_coefficients(inst)
-    if scheme == "mccs":
-        g = coeffs.g
-    elif scheme == "ccs":
-        g = coeffs.g_ccs
-    else:
+    if scheme not in ("mccs", "ccs"):
         raise ValueError("scheme must be 'mccs' or 'ccs'")
+    coeffs = g_coefficients(inst)
+    g = coeffs.g if scheme == "mccs" else coeffs.g_ccs
     return solve_placement(placement_program(inst, g.ravel(), exact_cache=True, ordered=True), inst)
 
 
@@ -273,9 +266,8 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     the key's expected message count.
     """
     n, k = inst.n_files, inst.n_users
-    if k > P4_MAX_USERS or n > P4_MAX_FILES:
-        raise SizeGuardError(
-            f"unrestricted placement LP guarded to K <= {P4_MAX_USERS}, N <= {P4_MAX_FILES}")
+    keys = [math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1)]  # per set size s
+    check_epigraph_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
     weights = message_weights(inst, "mccs")
     cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)
                          for files, w in weights if files.shape[1] <= l + 1])

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 
 from cacheopt.bounds import distinct_set_probability, enumerate_distinct_sets
 from cacheopt.delivery import leader_group, message_weights
-from cacheopt.lp import LpProblem
+from cacheopt.lp import LpProblem, SizeGuardError
 from cacheopt.model import Instance, binom, cache_used, placement_program
 
 
@@ -174,6 +176,21 @@ def yu_uniform_rate(n: int, k: int, t: int) -> Fraction:
     return sum(Fraction(math.comb(n, u) * stirling[k][u] * math.factorial(u), n ** k)
                * (math.comb(k, t + 1) - math.comb(k - u, t + 1))
                for u in range(1, min(n, k) + 1)) / math.comb(k, t)
+
+
+def assert_refused_early(solve, inst: Instance, mib: float) -> None:
+    """``solve(inst)`` raises the tableau guard within a second, having traced
+    less than 4 MiB, where the refused tableau holds ``mib`` MiB."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match=rf"tableau \({mib:.0f} MiB\) exceeds"):
+            solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.fixture

@@ -22,10 +22,15 @@ from cacheopt.bounds import (
 )
 from cacheopt.delivery import _set_probabilities, expected_rate, file_sets
 from cacheopt.lp import SizeGuardError, solve, solve_via_dual
-from cacheopt.model import Instance, binom, validate_placement
+from cacheopt.model import Instance, binom, validate_placement, zipf_popularity
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
-from conftest import full_epigraph_problem, random_popularity, random_q_instance
+from conftest import (
+    assert_refused_early,
+    full_epigraph_problem,
+    random_popularity,
+    random_q_instance,
+)
 
 K2_MATRIX = np.array([[0.2, 0.4, 0.0], [0.6, 0.2, 0.0]])
 
@@ -203,9 +208,14 @@ class TestGeneralBound:
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_size_guard(self):
-        inst = Instance(12, 5, 1.0, np.full(12, 1 / 12))
-        with pytest.raises(SizeGuardError):
-            lower_bound_p1(inst)
+        # round 1 holds one popularity-order row per distinct set: 6,195 rows
+        # and 6,295 columns at (20,4), whose dual tableau takes 602 MiB; 4,943
+        # rows and 5,033 columns at (15,5) take 384 MiB.  Each is refused
+        # before it is built.
+        assert_refused_early(lower_bound_p1, Instance.from_zipf(20, 4, 5.0, 0.56), 602)
+        assert_refused_early(lower_bound_p1, Instance(15, 5, 1.0, np.full(15, 1 / 15)), 384)
+        sized = Instance(20, 4, 5.0, zipf_popularity(20, 0.56), np.linspace(0.5, 2.0, 20))
+        assert_refused_early(lower_bound_p5, sized, 602)
 
 
 class TestRowGeneration:

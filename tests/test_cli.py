@@ -105,6 +105,18 @@ class TestOptimizeCommand:
                                  "--cache", "3", "--zipf", "0.8")
         assert code == 3 and out == ""
         assert "keys" in err
+        # the general bound's first program would pivot a 602 MiB dual tableau
+        code, out, err = run_cli(capsys, "bound", "--which", "p1", "--files", "20", "--users", "4",
+                                 "--cache", "5", "--zipf", "0.56")
+        assert code == 3 and out == ""
+        assert "tableau guard" in err
+        # P4 is refused from (N, K) before its message weights: 392 MiB at (16,4)
+        sizes = json.dumps(np.linspace(0.5, 2.0, 16).tolist())
+        code, out, err = run_cli(capsys, "sweep", "--files", "16", "--users", "4", "--zipf", "0.56",
+                                 "--sizes", sizes, "--start", "4", "--stop", "4", "--step", "1",
+                                 "--outputs", "p4,lb_p5")
+        assert code == 3 and out == ""
+        assert "tableau guard" in err
 
 
 class TestBoundCommand:

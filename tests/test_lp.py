@@ -6,8 +6,10 @@ import pytest
 from scipy.optimize import linprog
 
 from cacheopt import lp
+from cacheopt.bounds import lower_bound_p5
 from cacheopt.lp import LpProblem, solve, solve_via_dual
-from cacheopt.model import Instance
+from cacheopt.model import Instance, zipf_popularity
+from cacheopt.optimizer import solve_p4_lp
 
 from conftest import full_epigraph_problem
 
@@ -202,3 +204,30 @@ class TestMemory:
         rows, cols = dual.ub_lhs.shape
         tableau = rows * (cols + rows + 1) * 8
         assert peak <= 2.5 * tableau, f"peak {peak / tableau:.2f}x the tableau"
+
+    def test_guard_sizes_the_tableau_it_protects(self, monkeypatch):
+        # every _check_dual_tableau call of P4 and of each P5 round admits the
+        # tableau its solve then pivots at exactly its bytes, and no less
+        checked, shapes = [], []
+        check, init = lp._check_dual_tableau, lp._Tableau.__init__
+
+        def record_check(*dims):
+            checked.append(dims)
+            check(*dims)
+
+        def record_tableau(tab, T, basis):
+            shapes.append(T.shape)
+            init(tab, T, basis)
+
+        monkeypatch.setattr(lp, "_check_dual_tableau", record_check)
+        monkeypatch.setattr(lp._Tableau, "__init__", record_tableau)
+        inst = Instance(6, 3, 2.0, zipf_popularity(6, 0.56), np.linspace(0.5, 2.0, 6))
+        solve_p4_lp(inst)
+        lower_bound_p5(inst)
+        assert len(checked) == len(shapes) >= 3
+        for dims, (rows, cols) in zip(checked, shapes):
+            monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8)
+            check(*dims)
+            monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8 - 1)
+            with pytest.raises(lp.SizeGuardError):
+                check(*dims)

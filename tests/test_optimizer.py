@@ -9,7 +9,6 @@ from cacheopt import closedform, lp, optimizer
 from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
 from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
 from cacheopt.delivery import expected_rate
-from cacheopt.lp import SizeGuardError
 from cacheopt.model import (
     Instance,
     cache_used,
@@ -29,7 +28,7 @@ from cacheopt.optimizer import (
     two_group_candidate,
 )
 
-from conftest import random_popularity, random_q_instance
+from conftest import assert_refused_early, random_popularity, random_q_instance
 
 
 def distinct_rows(matrix, tol=1e-6):
@@ -293,6 +292,15 @@ class TestUnrestrictedLp:
             assert solve_p4_lp(inst).value == pytest.approx(
                 lower_bound_p5(inst).value, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_two_user_sizes_attain_bound_beyond_seven_files(self, n):
+        # the paper's two-user claim with nonuniform popularity and sizes
+        rng = np.random.default_rng(n)
+        sizes = rng.uniform(0.5, 2.0, n)
+        inst = Instance(n, 2, float(rng.uniform(0, sizes.sum())),
+                        zipf_popularity(n, float(rng.uniform(0.2, 1.2))), sizes)
+        assert solve_p4_lp(inst).value == pytest.approx(lower_bound_p5(inst).value, abs=1e-9)
+
     def test_value_matches_enumeration_at_solution(self, rng):
         inst = Instance(4, 3, 1.2, random_popularity(4, rng), [1.5, 1.25, 1.0, 0.75])
         opt = solve_p4_lp(inst)
@@ -300,9 +308,12 @@ class TestUnrestrictedLp:
             expected_rate("mccs", inst, opt.placement), abs=1e-9)
 
     def test_size_guard(self):
-        inst = Instance(8, 3, 1.0, np.full(8, 1 / 8))
-        with pytest.raises(SizeGuardError):
-            solve_p4_lp(inst)
+        # sized from (N, K) before the message weights: at (60,4) the key guard
+        # admits the 561,625 keys, whose weights alone take seconds to compute
+        assert_refused_early(solve_p4_lp, Instance(25, 3, 1.0, np.full(25, 1 / 25)), 265)
+        assert_refused_early(solve_p4_lp, Instance.from_zipf(16, 4, 4.0, 0.56), 392)
+        sized = Instance(60, 4, 15.0, zipf_popularity(60, 0.8), np.linspace(0.5, 2.0, 60))
+        assert_refused_early(solve_p4_lp, sized, 11698627)
 
     def test_one_epigraph_variable_per_file_set(self, monkeypatch):
         # at (7,4) the (level, file set) keys number 7 + 28 + 63 + 98 = 196;

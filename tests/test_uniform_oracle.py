@@ -14,7 +14,7 @@ from cacheopt.closedform import g_coefficients
 from cacheopt.delivery import expected_rate
 from cacheopt.lp import SizeGuardError
 from cacheopt.model import Instance, zipf_popularity
-from cacheopt.optimizer import one_group_candidate, optimize_mccs, solve_p3_lp
+from cacheopt.optimizer import one_group_candidate, optimize_mccs, solve_p3_lp, solve_p4_lp
 
 from conftest import yu_uniform_rate
 
@@ -55,6 +55,13 @@ def test_search_and_general_bound_meet_uniform_rate():
         want = float(yu_uniform_rate(7, 4, t))
         assert optimize_mccs(inst, with_bounds=False).rate_mccs == pytest.approx(want, abs=1e-12)
         assert lower_bound_p1(inst).value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(8, 4), (12, 3)])
+def test_unrestricted_lp_meets_uniform_rate(n, k):
+    for t in range(k + 1):
+        assert solve_p4_lp(corner(n, k, t)).value == pytest.approx(
+            float(yu_uniform_rate(n, k, t)), abs=1e-12)
 
 
 def test_search_matches_placement_lp_beyond_enumeration():
