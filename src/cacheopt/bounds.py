@@ -1,13 +1,15 @@
 """Information-theoretic lower bounds on the average delivery rate.
 
-The per-demand bound depends only on the set D of distinct requested files:
-every ordering pi of D yields the rate sum_{l<K} sum_i C(K-i,l) a_{pi(i),l},
-and the bound takes the best ordering, found by a subset DP in |D| 2^(|D|-1)
-steps without listing the |D|! orderings.  Averaging over D with the exact
-distinct-set probabilities and minimizing over feasible placements gives three
-LPs, each returning the ``model.LpOptimum`` of ``solve_placement``.  The sets
-D and their probabilities come from ``delivery.file_sets``, whose key guard
-covers every bound:
+The per-demand bound depends only on the set D of distinct requested files,
+passed as any sequence of 1-based files (a demand will do; ``delivery.distinct_set``
+reduces it).  Every ordering pi of D yields the rate
+sum_{l<K} sum_i C(K-i,l) a_{pi(i),l}, and the bound takes the best ordering,
+found by a subset DP in |D| 2^(|D|-1) steps without listing the |D|!
+orderings.  Averaging over D with the exact distinct-set probabilities and
+minimizing over feasible placements gives three LPs, each returning the
+``model.LpOptimum`` of ``solve_placement``.  The sets D and their
+probabilities come from ``delivery.file_sets``, whose key guard covers every
+bound:
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .delivery import _set_probabilities, conditional_expected_distinct, file_sets
+from .delivery import _set_probabilities, conditional_expected_distinct, distinct_set, file_sets
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
-    DistinctSet,
     Instance,
     LpOptimum,
     PlacementLike,
@@ -50,12 +51,10 @@ from .model import (
 
 MAX_DISTINCT_SET = 10
 
-DistinctLike = Union[DistinctSet, Sequence[int]]
 
-
-def _distinct_rows(D: DistinctLike, n_files: int) -> np.ndarray:
+def _distinct_rows(D: Sequence[int], n_files: int) -> np.ndarray:
     """Zero-based rows of D's distinct files, ascending (``model.file_rows``)."""
-    return file_rows(D.files if isinstance(D, DistinctSet) else sorted({int(v) for v in D}), n_files)
+    return file_rows(distinct_set(D), n_files)
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +108,7 @@ def _best_orderings(scores: np.ndarray, floor: np.ndarray | None = None):
     return best[-1], sets, orders
 
 
-def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
+def rlb_general(D: Sequence[int], a: PlacementLike) -> float:
     """Per-distinct-set bound: the best of all |D|! orderings of D."""
     m = as_matrix(a)
     rows = _distinct_rows(D, len(m))
@@ -120,7 +119,7 @@ def rlb_general(D: DistinctLike, a: PlacementLike) -> float:
     return float(_best_orderings(scores))
 
 
-def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
+def rlb_popfirst(D: Sequence[int], a: PlacementLike) -> float:
     """Per-distinct-set bound with files taken in popularity order.
 
     Equals rlb_general for popularity-first placements, without the |D|! search.
@@ -134,7 +133,7 @@ def rlb_popfirst(D: DistinctLike, a: PlacementLike) -> float:
     return float(sum(w[i] @ m[r, :k] for i, r in enumerate(rows)))
 
 
-def distinct_set_probability(inst: Instance, D: DistinctLike) -> float:
+def distinct_set_probability(inst: Instance, D: Sequence[int]) -> float:
     """P(Unique(d) = D), summed over the request counts of D's files."""
     return float(_set_probabilities(inst, _distinct_rows(D, inst.n_files)[None])[0])
 

@@ -23,8 +23,8 @@ from . import bounds, delivery, optimizer
 from .closedform import avg_rate_closed
 from .lp import SizeGuardError
 from .model import (
-    Demand,
     Instance,
+    file_rows,
     ingest_instance,
     is_popularity_first,
     parse_instance_json,
@@ -185,9 +185,14 @@ def _worker_count(n_points: int) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.variable == "theta" and (args.popularity is not None or args.instance):
-        raise ValueError("--variable theta sweeps Zipf(theta) popularity over --files; "
-                         "it cannot take --popularity or --instance")
+    if args.variable == "theta":
+        if args.popularity is not None or args.instance:
+            raise ValueError("--variable theta sweeps Zipf(theta) popularity over --files; "
+                             "it cannot take --popularity or --instance")
+        if args.zipf is None:  # every point draws its own Zipf(theta); any base will do
+            if args.files is None:
+                raise ValueError("--variable theta needs --files")
+            args.zipf = args.start
     inst, _ = _build_instance(args, need_cache=args.variable != "cache")
     if args.step <= 0:
         raise ValueError("--step must be > 0")
@@ -233,12 +238,17 @@ def cmd_rate(args) -> int:
                   if v.residual > rounding.get(v.constraint, -1.0)]
     if violations:
         raise ValueError("placement infeasible: " + "; ".join(str(v) for v in violations))
-    demand = Demand.parse(args.demand)
-    demand.validate(inst.n_files, inst.n_users)
+    try:
+        demand = tuple(int(tok) for tok in args.demand.split(","))
+    except ValueError as exc:
+        raise ValueError(f"demand must be comma-separated file indices: {args.demand!r}") from exc
+    if len(demand) != inst.n_users:
+        raise ValueError(f"demand has {len(demand)} entries, expected {inst.n_users}")
+    file_rows(demand, inst.n_files)
     dset = delivery.distinct_set(demand)
     doc = {
-        "demand": list(demand.requests),
-        "distinct": list(dset.files),
+        "demand": list(demand),
+        "distinct": list(dset),
         "rate_mccs": delivery.rate_mccs(demand, matrix),
         "rate_ccs": delivery.rate_ccs(demand, matrix),
         "rlb_general": bounds.rlb_general(dset, matrix),

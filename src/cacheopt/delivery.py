@@ -1,6 +1,8 @@
 """Exact per-demand and expected delivery rates.
 
-Two delivery strategies are evaluated on the same placement:
+A demand is any sequence of K 1-based file indices, entry k requested by user
+k; ``distinct_set``, ``leader_group`` and ``redundancy_profile`` return plain
+tuples.  Two delivery strategies are evaluated on the same placement:
 
 * the baseline scheme sends one coded message per nonempty user subset
   (``rate_ccs``);
@@ -25,20 +27,17 @@ size-K block.  Only this module knows the step's state layout and the table's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
+from typing import Sequence
 
 import numpy as np
 
 from .lp import SizeGuardError
 from .model import (
-    DemandLike,
-    DistinctSet,
     Instance,
     PlacementLike,
     as_matrix,
-    as_requests,
     binom,
     file_rows,
     is_popularity_first,
@@ -48,57 +47,48 @@ KEY_GUARD = 10 ** 7
 CHUNK = 1024  # file sets per forward pass, bounding its working arrays
 
 
-@dataclass(frozen=True)
-class LeaderGroup:
-    """One requester per distinct file; lowest user index breaks ties."""
-
-    users: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RedundancyProfile:
-    """Redundant-request counts of a demand.
-
-    ``distinct`` lists the distinct files in nonincreasing popularity order
-    (ascending file index); ``per_file[i]`` counts the redundant requests for
-    the i-th of them; ``cumulative[i]`` is the running total with
-    ``cumulative[0] == 0``.
-    """
-
-    distinct: tuple[int, ...]
-    per_file: tuple[int, ...]
-    cumulative: tuple[int, ...]
+def distinct_set(d: Sequence[int]) -> tuple[int, ...]:
+    """The distinct files of a demand or a set, ascending (nonincreasing popularity)."""
+    files = tuple(sorted({int(f) for f in d}))
+    if not files:
+        raise ValueError("distinct set must be nonempty")
+    return files
 
 
-def distinct_set(d: DemandLike) -> DistinctSet:
-    return DistinctSet(tuple(as_requests(d)))
-
-
-def leader_group(d: DemandLike) -> LeaderGroup:
+def leader_group(d: Sequence[int]) -> tuple[int, ...]:
     """The deterministic leader group: for each distinct file, its first requester."""
-    requests = as_requests(d)
-    return LeaderGroup(tuple(u for u, f in enumerate(requests, 1) if f not in requests[:u - 1]))
+    return tuple(u for u, f in enumerate(d, 1) if f not in d[:u - 1])
 
 
-def redundancy_profile(d: DemandLike) -> RedundancyProfile:
-    requests = as_requests(d)
-    files = sorted(set(requests))
-    per_file = tuple(requests.count(f) - 1 for f in files)
-    return RedundancyProfile(tuple(files), per_file, tuple(accumulate(per_file, initial=0)))
+def redundancy_profile(d: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Redundant-request counts of a demand: (distinct, per_file, cumulative).
+
+    ``distinct`` is ``distinct_set(d)``; ``per_file[i]`` counts the redundant
+    requests for the i-th distinct file; ``cumulative[i]`` is the running total
+    with ``cumulative[0] == 0``.
+    """
+    files = distinct_set(d)
+    per_file = tuple(list(d).count(f) - 1 for f in files)
+    return files, per_file, tuple(accumulate(per_file, initial=0))
 
 
-def coded_message_size(subset, d: DemandLike, a: PlacementLike) -> float:
-    """Size of the padded message for user subset ``subset`` (1-based users)."""
+def coded_message_size(subset, d: Sequence[int], a: PlacementLike) -> float:
+    """Size of the padded message for user subset ``subset`` (distinct 1-based users)."""
     users = tuple(subset)
     if not users:
         raise ValueError("subset must be nonempty")
+    for i, u in enumerate(users):
+        if not 1 <= u <= len(d):
+            raise ValueError(f"user {u} outside 1..{len(d)}")
+        if u in users[:i]:
+            raise ValueError(f"user {u} repeated in subset {users}")
     m = as_matrix(a)
-    rows = file_rows(as_requests(d), len(m))
+    rows = file_rows(d, len(m))
     l = len(users) - 1
     return float(max(m[rows[k - 1], l] for k in users))
 
 
-def _rate_with_leaders(requests: tuple[int, ...], m: np.ndarray,
+def _rate_with_leaders(requests: Sequence[int], m: np.ndarray,
                        leaders: tuple[int, ...] | None) -> float:
     """Sum of padded message sizes over subsets meeting ``leaders`` (all if None)."""
     k_users = len(requests)
@@ -114,19 +104,17 @@ def _rate_with_leaders(requests: tuple[int, ...], m: np.ndarray,
     return total
 
 
-def rate_mccs(d: DemandLike, a: PlacementLike) -> float:
+def rate_mccs(d: Sequence[int], a: PlacementLike) -> float:
     """Delivery rate with redundant messages skipped."""
-    requests = as_requests(d)
-    return _rate_with_leaders(requests, as_matrix(a), leader_group(requests).users)
+    return _rate_with_leaders(d, as_matrix(a), leader_group(d))
 
 
-def rate_ccs(d: DemandLike, a: PlacementLike) -> float:
+def rate_ccs(d: Sequence[int], a: PlacementLike) -> float:
     """Delivery rate with one message per nonempty user subset."""
-    requests = as_requests(d)
-    return _rate_with_leaders(requests, as_matrix(a), None)
+    return _rate_with_leaders(d, as_matrix(a), None)
 
 
-def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
+def rate_mccs_lemma3(d: Sequence[int], a: PlacementLike) -> float:
     """The redundancy-counting form of rate_mccs, valid for popularity-first a.
 
     With distinct files phi(1..u) in decreasing popularity and cumulative
@@ -138,17 +126,16 @@ def rate_mccs_lemma3(d: DemandLike, a: PlacementLike) -> float:
     m = as_matrix(a)
     if not is_popularity_first(m):
         raise ValueError("rate_mccs_lemma3 requires a popularity-first placement")
-    requests = as_requests(d)
-    k_users = len(requests)
-    prof = redundancy_profile(requests)
-    u, rows = len(prof.distinct), file_rows(prof.distinct, len(m))
+    k_users = len(d)
+    distinct, _, cumulative = redundancy_profile(d)
+    u, rows = len(distinct), file_rows(distinct, len(m))
     total = 0.0
     for i in range(1, u + 1):
         coef = np.zeros(k_users)
         for l in range(k_users):
-            first = sum(binom(k_users - j - prof.cumulative[i - 1], l)
+            first = sum(binom(k_users - j - cumulative[i - 1], l)
                         for j in range(i, u + 1))
-            second = sum(binom(k_users - j - prof.cumulative[i], l)
+            second = sum(binom(k_users - j - cumulative[i], l)
                          for j in range(i + 1, u + 1))
             coef[l] = first - second
         total += float(coef @ m[rows[i - 1], :k_users])

@@ -1,11 +1,12 @@
-"""Core domain types: caching instances, placements, demands, popularity models.
+"""Core domain types: caching instances, placements, popularity models.
 
 Files are indexed 1..N in nonincreasing popularity order throughout; users are
-indexed 1..K.  A placement assigns each file a vector over subset sizes
-l = 0..K, where entry l is the common size of that file's subfiles stored at
-every user subset of size l (a fraction of the file in the uniform-size case,
-bits otherwise).  All types are immutable after construction and every
-operation here is a pure function.
+indexed 1..K.  A demand is a plain sequence of K 1-based file indices, entry k
+the file user k requests.  A placement assigns each file a vector over subset
+sizes l = 0..K, where entry l is the common size of that file's subfiles
+stored at every user subset of size l (a fraction of the file in the
+uniform-size case, bits otherwise).  All types are immutable after
+construction and every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -205,51 +206,6 @@ def file_rows(files: Sequence[int], n_files: int) -> np.ndarray:
         if not 1 <= f <= n_files:
             raise ValueError(f"file index {f} outside 1..{n_files}")
     return np.array(files, dtype=np.intp) - 1
-
-
-@dataclass(frozen=True)
-class Demand:
-    """A length-K request vector of 1-based file indices."""
-
-    requests: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "requests", tuple(int(v) for v in self.requests))
-
-    def validate(self, n_files: int, n_users: int) -> None:
-        if len(self.requests) != n_users:
-            raise ValueError(f"demand has {len(self.requests)} entries, expected {n_users}")
-        file_rows(self.requests, n_files)
-
-    @classmethod
-    def parse(cls, text: str) -> "Demand":
-        try:
-            return cls(tuple(int(tok) for tok in text.split(",")))
-        except ValueError as exc:
-            raise ValueError(f"demand must be comma-separated file indices: {text!r}") from exc
-
-
-DemandLike = Union[Demand, Sequence[int]]
-
-
-def as_requests(d: DemandLike) -> tuple[int, ...]:
-    return d.requests if isinstance(d, Demand) else tuple(int(v) for v in d)
-
-
-@dataclass(frozen=True)
-class DistinctSet:
-    """The sorted set of distinct file indices requested by a demand."""
-
-    files: tuple[int, ...]
-
-    def __post_init__(self):
-        files = tuple(sorted({int(v) for v in self.files}))
-        if not files:
-            raise ValueError("distinct set must be nonempty")
-        object.__setattr__(self, "files", files)
-
-    def __len__(self) -> int:
-        return len(self.files)
 
 
 @dataclass(frozen=True)

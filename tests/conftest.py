@@ -110,7 +110,7 @@ def enumerated_message_weights(inst: Instance, scheme: str) -> dict:
     """``message_weights`` by walking every user subset of every demand class."""
     weights: dict = {}
     for rep, prob in demand_classes(inst):
-        leaders = {u - 1 for u in leader_group(rep).users}
+        leaders = {u - 1 for u in leader_group(rep)}
         for size in range(1, inst.n_users + 1):
             for subset in itertools.combinations(range(inst.n_users), size):
                 if scheme == "ccs" or leaders.intersection(subset):

@@ -225,6 +225,15 @@ class TestSweepCommand:
             _, mccs, ccs = (float(v) for v in line.split(","))
             assert mccs <= ccs + 1e-9
 
+    def test_theta_sweep_needs_no_zipf(self, capsys):
+        # every grid point draws Zipf(theta) over --files, so --zipf is optional here
+        argv = ("sweep", "--files", "5", "--users", "2", "--cache", "1", "--variable", "theta",
+                "--start", "0", "--stop", "1", "--step", "0.5", "--outputs", "mccs_opt")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == "x,mccs_opt\n0.000000,1.280000\n0.500000,1.257232\n1.000000,1.035164\n"
+        assert run_cli(capsys, *argv, "--zipf", "1")[1] == out
+
     def test_sized_sweep_columns(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--files", "3", "--users", "2",
                                "--cache", "0", "--zipf", "0.56",
@@ -324,6 +333,22 @@ class TestRateCommand:
         code, _, err = run_cli(capsys, "rate", *self.instance_args(),
                                "--placement", table_placement, "--demand", "1,2,9,4")
         assert code == 2
+
+    def test_demand_parse_and_validate(self, capsys, table_placement):
+        code, out, _ = run_cli(capsys, "rate", *self.instance_args(),
+                               "--placement", table_placement, "--demand", "1,1,2,1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["demand"] == [1, 1, 2, 1] and doc["distinct"] == [1, 2]
+        for demand, message in [
+            ("1,x", "demand must be comma-separated file indices: '1,x'"),
+            ("1,2,3", "demand has 3 entries, expected 4"),
+            ("1,2,9,4", "file index 9 outside 1..7"),
+            ("0,1,2,3", "file index 0 outside 1..7"),
+        ]:
+            code, out, err = run_cli(capsys, "rate", *self.instance_args(),
+                                     "--placement", table_placement, "--demand", demand)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), demand
 
     def test_infeasible_placement_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

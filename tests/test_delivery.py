@@ -39,6 +39,7 @@ from conftest import (
     message_weight_dict,
     random_popularity,
     random_q_instance,
+    random_q_placement,
     yu_uniform_rate,
 )
 
@@ -53,7 +54,14 @@ class TestStructure:
         ((4, 2, 1, 3), (1, 2, 3, 4)),
     ])
     def test_distinct_set(self, d, expected):
-        assert distinct_set(d).files == expected
+        assert distinct_set(d) == expected
+
+    def test_empty_distinct_set_rejected(self):
+        assert distinct_set((2, 1, 2)) == (1, 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            distinct_set(())
+        with pytest.raises(ValueError, match="nonempty"):
+            rlb_general((), K2_MATRIX)
 
     @pytest.mark.parametrize("d,expected", [
         ((1, 1, 2), (1, 3)),
@@ -61,14 +69,14 @@ class TestStructure:
         ((5, 5, 5), (1,)),
     ])
     def test_leader_group(self, d, expected):
-        assert leader_group(d).users == expected
+        assert leader_group(d) == expected
 
     def test_redundancy_profile(self):
-        prof = redundancy_profile((1, 1, 2, 1, 3))
-        assert prof.distinct == (1, 2, 3)
-        assert prof.per_file == (2, 0, 0)
-        assert prof.cumulative == (0, 2, 2, 2)
-        assert prof.cumulative[-1] == 5 - 3
+        distinct, per_file, cumulative = redundancy_profile((1, 1, 2, 1, 3))
+        assert distinct == (1, 2, 3)
+        assert per_file == (2, 0, 0)
+        assert cumulative == (0, 2, 2, 2)
+        assert cumulative[-1] == 5 - 3
 
 
 class TestMessageSize:
@@ -86,6 +94,16 @@ class TestMessageSize:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             coded_message_size((), (1, 1), K2_MATRIX)
+
+    @pytest.mark.parametrize("subset,match", [
+        ((0,), "user 0 outside 1..2"),
+        ((3,), "user 3 outside 1..2"),
+        ((1, 1), "user 1 repeated"),
+    ], ids=["zero", "K+1", "repeated"])
+    def test_bad_user_rejected(self, subset, match):
+        # users are 1-based and distinct: none wraps to the last user or pads twice
+        with pytest.raises(ValueError, match=match):
+            coded_message_size(subset, (1, 2), K2_MATRIX)
 
 
 class TestFileIndices:
@@ -155,6 +173,23 @@ class TestPerDemandRates:
             for choice in itertools.product(*per_file.values()):
                 assert _rate_with_leaders(d, a, tuple(sorted(choice))) == \
                     pytest.approx(reference, abs=1e-12)
+
+
+class TestUserRelabeling:
+    """Relabeling users permutes a demand's entries and changes no rate or bound."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 5), k=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_invariant_under_user_permutation(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        ordered = random_q_placement(n, k, rng)  # popularity-first, as Lemma 3 needs
+        shuffled = ordered[rng.permutation(n)]  # any placement for the general forms
+        d = tuple(int(v) for v in rng.integers(1, n + 1, size=k))
+        relabeled = tuple(d[u] for u in rng.permutation(k))
+        assert distinct_set(relabeled) == distinct_set(d)
+        for fn, a in ((rate_mccs, shuffled), (rate_ccs, shuffled),
+                      (rate_mccs_lemma3, ordered), (rlb_general, shuffled)):
+            assert abs(fn(relabeled, a) - fn(d, a)) <= 1e-12, fn.__name__
 
 
 class TestLemma3Form:

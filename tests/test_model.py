@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from cacheopt.model import (
-    Demand,
-    DistinctSet,
     Instance,
     Placement,
     cache_used,
@@ -246,19 +244,3 @@ class TestSmallTypes:
         inst = Instance(2, 2, 1.0, [0.6, 0.4])
         with pytest.raises(ValueError, match="shape"):
             Placement(np.zeros((3, 3)), inst)
-
-    def test_demand_parse_and_validate(self):
-        d = Demand.parse("1,1,2")
-        assert d.requests == (1, 1, 2)
-        d.validate(n_files=2, n_users=3)
-        with pytest.raises(ValueError):
-            d.validate(n_files=1, n_users=3)
-        with pytest.raises(ValueError):
-            d.validate(n_files=2, n_users=2)
-        with pytest.raises(ValueError):
-            Demand.parse("1,x")
-
-    def test_distinct_set(self):
-        assert DistinctSet((2, 1, 2)).files == (1, 2)
-        with pytest.raises(ValueError):
-            DistinctSet(())
