@@ -7,19 +7,19 @@ sum_{l<K} sum_i C(K-i,l) a_{pi(i),l}, and the bound takes the best ordering,
 found by a subset DP in |D| 2^(|D|-1) steps without listing the |D|!
 orderings.  Averaging over D with the exact distinct-set probabilities and
 minimizing over feasible placements gives three LPs, each returning the
-``model.LpOptimum`` of ``solve_placement``.  The sets D and their
-probabilities come from ``delivery.file_sets``, whose key guard covers every
-bound:
+``model.LpOptimum`` of ``solve_placement``.  Each program's simplex tableau is
+sized before it is built (``model.check_placement_program``, the one LP size
+guard; it bounds memory, not time):
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set and
   one constraint per ordering, generated only while violated (a cutting-plane
-  loop from each set's popularity order).  Each round first sizes its
-  program's dual tableau (``model.check_epigraph_program``), the one LP size
-  guard; it bounds memory, not time.
+  loop from each set's popularity order).  The sets D and their
+  probabilities come from ``delivery.file_sets`` and its key guard; each
+  round is sized before its rows are built.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
-  epigraph is needed.
+  epigraph is needed; its weights come from ``delivery._by_rank``.
 * ``lower_bound_p5`` -- the P1 program with per-file sizes on the partition
   constraint; placement entries and the cache budget are in bits.
 
@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .delivery import _set_probabilities, conditional_expected_distinct, distinct_set, file_sets
+from .delivery import (_by_rank, _set_probabilities, conditional_expected_distinct, distinct_set,
+                       file_sets)
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     Instance,
@@ -42,7 +43,7 @@ from .model import (
     PlacementLike,
     as_matrix,
     binom,
-    check_epigraph_program,
+    check_placement_program,
     file_rows,
     is_popularity_first,
     placement_program,
@@ -138,12 +139,6 @@ def distinct_set_probability(inst: Instance, D: Sequence[int]) -> float:
     return float(_set_probabilities(inst, _distinct_rows(D, inst.n_files)[None])[0])
 
 
-def enumerate_distinct_sets(inst: Instance) -> Iterator[tuple[int, ...]]:
-    """All possible distinct sets, by size then lexicographically: ``file_sets``, 1-based."""
-    for files in file_sets(inst):
-        yield from map(tuple, (files + 1).tolist())
-
-
 def _generated_bound(inst: Instance) -> LpOptimum:
     """Solve the P1/P5 epigraph LP by generating its ordering rows (Kelley).
 
@@ -161,8 +156,8 @@ def _generated_bound(inst: Instance) -> LpOptimum:
     picks = [(np.arange(len(f)), np.tile(np.arange(f.shape[1]), (len(f), 1))) for f, _ in table]
     blocks, pivots = [], 0
     while True:  # size this round's program before building its rows
-        check_epigraph_program(inst, first[-1], sum(len(key) for _, key in blocks)
-                               + sum(len(sets) for sets, _ in picks))
+        check_placement_program(inst, first[-1], sum(len(key) for _, key in blocks)
+                                + sum(len(sets) for sets, _ in picks))
         for (files, _), start, (sets, orders) in zip(table, first, picks):
             at = np.take_along_axis(files[sets], orders, axis=1)  # file at position i + 1
             rows = np.zeros((len(sets), n, k + 1))
@@ -202,24 +197,11 @@ def lower_bound_p5(inst: Instance) -> LpOptimum:
     return _generated_bound(inst)
 
 
-def p2_objective(inst: Instance) -> np.ndarray:
-    """Average-rate objective over a for popularity-first placements.
-
-    weight[n, l] = sum over distinct sets containing n of
-    prob(D) * C(K - rank_D(n), l), rank taken in popularity order.
-    """
-    w = np.zeros((inst.n_files, inst.n_users + 1))
-    for files in file_sets(inst):  # rows ascending = popularity order
-        prob = _set_probabilities(inst, files)
-        pw = _position_weights(inst.n_users, files.shape[1])
-        np.add.at(w, (files, slice(inst.n_users)), prob[:, None, None] * pw)
-    return w
-
-
 def lower_bound_p2(inst: Instance) -> LpOptimum:
     """Lower bound restricted to popularity-first placements (plain LP)."""
     _require_uniform(inst, "P2")
-    return solve_placement(placement_program(inst, p2_objective(inst).ravel(), ordered=True), inst)
+    check_placement_program(inst, ordered=True)
+    return solve_placement(placement_program(inst, _by_rank(inst).ravel(), ordered=True), inst)
 
 
 def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> float:

@@ -11,7 +11,7 @@ tuples.  Two delivery strategies are evaluated on the same placement:
 
 Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
-Expectations over random demands are exact and list no demands.  Both the
+Expectations over random demands are exact and list no demands.  The general
 bounds and the padded messages sum over requested-file sets, and
 ``file_sets`` lists them once: one array per set size, guarded on the
 (level, file set) keys before anything is allocated.  Users request
@@ -19,9 +19,9 @@ independently, so a demand's weight factors over files, and ``_join`` adds one
 file: c more users request it and b of those c join a message's user subset.
 Forward over the files of each set it gives the distinct-set probabilities of
 ``bounds`` and ``message_weights`` (the expected messages behind the exact
-expected rates and P4); backward over all files it gives the coefficients of
-``closedform``.  The all-distinct conditional expectations read the table's
-size-K block.  Only this module knows the step's state layout and the table's.
+expected rates and P4); over all files, forward it gives P2's weights and
+backward those of ``closedform``.  The all-distinct conditional expectations
+read the table's size-K block.  Only this module knows both layouts.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .lp import SizeGuardError
 from .model import (
     Instance,
     PlacementLike,
+    _whole,
     as_matrix,
     binom,
     file_rows,
@@ -49,7 +50,7 @@ CHUNK = 1024  # file sets per forward pass, bounding its working arrays
 
 def distinct_set(d: Sequence[int]) -> tuple[int, ...]:
     """The distinct files of a demand or a set, ascending (nonincreasing popularity)."""
-    files = tuple(sorted({int(f) for f in d}))
+    files = tuple(sorted({_whole(f, "file index") for f in d}))
     if not files:
         raise ValueError("distinct set must be nonempty")
     return files
@@ -244,6 +245,25 @@ def _by_most_popular(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
         counts[:, f, :k] = top[k, :, 0].reshape(2, k + 1)[:, 1:]
         ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
     return counts[0], counts[1]
+
+
+def _by_rank(inst: Instance) -> np.ndarray:
+    """P2's w[n, l] = sum_{D containing n} P(D) C(K - rank_D(n), l), the expected
+    number of (l+1)-subsets of users holding n's leader but no leader of a more
+    popular file.  Forward: ``ways`` weighs the files before n, no leader in the
+    subset; n joins with its leader in, then the files after n as one file."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity
+    tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[n] = sum_{n' > n} p
+    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    ways[0, 0] = 1.0
+    w = np.zeros((n, k + 1))
+    for f in range(n):
+        held = _join(ways, p[f:f + 1], _choices(k, 1, k))
+        held[:, :k + 1] = 0.0  # else a later file's leader turns a miss into a hit
+        w[f, :k] = _join(held, tail[f:f + 1], _choices(k, 0, k))[k, k + 2:, 0]
+        ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
+        ways[:, k + 1:] = 0.0
+    return w
 
 
 def message_weights(inst: Instance, scheme: str) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -8,9 +8,9 @@ final reduced costs at its slack columns are the primal point.  The programs
 are often heavily degenerate (many symmetric files produce identical
 coefficients) and must solve bit-reproducibly, so a dense tableau simplex
 with a fixed pivot rule is the right tool.  The standard-form tableau is
-built in one allocation and pivoted in place.  ``_check_dual_tableau`` sizes
-the dual's tableau from a program's dimensions, so callers refuse a program
-past MAX_TABLEAU_BYTES before building it; it bounds memory, not time.
+built in one allocation and pivoted in place.  ``_check_tableau`` sizes it
+from a program's dimensions (the dual's, for ``solve_via_dual``), so callers
+refuse a program past MAX_TABLEAU_BYTES before building it.
 Dantzig pricing is used until a degeneracy stall is detected, after which
 Bland's rule guarantees termination.  Row prices are read off the final
 reduced costs of the slack and artificial columns; no second linear solve.
@@ -33,12 +33,11 @@ class SizeGuardError(RuntimeError):
     """A problem exceeds a desk-scale size guard."""
 
 
-def _check_dual_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
-    """Raise SizeGuardError before ``solve_via_dual`` of a program with a
-    nonnegative objective would pivot more than MAX_TABLEAU_BYTES: its dense
-    tableau has a row per primal variable and a column per equality (twice),
-    ``<=`` row and slack, plus the right-hand side.  Memory only, not time."""
-    rows, cols = n_vars, 2 * n_eq + n_ub + n_vars + 1
+def _check_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
+    """Raise SizeGuardError before ``solve`` of a program with right-hand sides
+    >= 0 would pivot more than MAX_TABLEAU_BYTES: a row per constraint, a column
+    per variable, slack and equality (its artificial) and the right-hand side."""
+    rows, cols = n_eq + n_ub, n_vars + n_ub + n_eq + 1
     if rows * cols * 8 > MAX_TABLEAU_BYTES:
         raise SizeGuardError(f"a {rows} x {cols} simplex tableau ({rows * cols * 8 / 2 ** 20:.0f} MiB) "
                              f"exceeds the {MAX_TABLEAU_BYTES >> 20} MiB tableau guard")

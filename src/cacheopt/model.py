@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -109,14 +110,12 @@ class Instance:
         return cls(n_files, n_users, cache_size, zipf_popularity(n_files, theta))
 
 
-def _json_count(doc: dict, key: str) -> int:
-    """A whole-number JSON field: 2 and 2.0 pass; 2.7, true and "2" are rejected, not truncated."""
-    value = doc[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
+def _whole(value, what: str) -> int:
+    """``value`` as an int: 2, np.int64(2), 2.0; ValueError names ``what`` for 2.7, True, "2"."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or math.isfinite(value) and value == int(value)):
         return int(value)
-    raise ValueError(f'instance JSON "{key}" must be a whole number, got {json.dumps(value)}')
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
 def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
@@ -135,7 +134,7 @@ def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     if not isinstance(doc, dict):
         raise ValueError("instance JSON must be an object")
     try:
-        users = _json_count(doc, "users")
+        users = _whole(doc["users"], 'instance JSON "users"')
         cache = float(doc["cache"])
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
@@ -144,7 +143,7 @@ def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     elif "zipf_theta" in doc:
         if "files" not in doc:
             raise ValueError('instance JSON with "zipf_theta" needs "files"')
-        pop = zipf_popularity(_json_count(doc, "files"), float(doc["zipf_theta"]))
+        pop = zipf_popularity(_whole(doc["files"], 'instance JSON "files"'), float(doc["zipf_theta"]))
     else:
         raise ValueError('instance JSON needs "popularity" or "zipf_theta"')
     sizes = np.asarray(doc["sizes"], dtype=float) if "sizes" in doc else None
@@ -201,11 +200,12 @@ def as_matrix(a: PlacementLike) -> np.ndarray:
 
 
 def file_rows(files: Sequence[int], n_files: int) -> np.ndarray:
-    """Zero-based rows of 1-based file indices; ValueError names a file outside 1..N."""
-    for f in files:
+    """Zero-based rows of 1-based file indices; ValueError names a file not in 1..N."""
+    rows = [_whole(f, "file index") for f in files]
+    for f in rows:
         if not 1 <= f <= n_files:
             raise ValueError(f"file index {f} outside 1..{n_files}")
-    return np.array(files, dtype=np.intp) - 1
+    return np.array(rows, dtype=np.intp) - 1
 
 
 @dataclass(frozen=True)
@@ -276,11 +276,15 @@ def placement_program(inst: Instance, objective: np.ndarray,
     return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
 
 
-def check_epigraph_program(inst: Instance, n_t: int, n_rows: int) -> None:
+def check_placement_program(inst: Instance, n_t: int = 0, n_rows: int = 0, *,
+                            exact_cache: bool = False, ordered: bool = False) -> None:
     """Raise SizeGuardError before a ``placement_program`` with n_t epigraph
-    variables and n_rows epigraph rows is built: ``solve_placement`` routes it
-    through the explicit dual, whose tableau ``lp._check_dual_tableau`` sizes."""
-    lp._check_dual_tableau(inst.n_files * (inst.n_users + 1) + n_t, inst.n_files, 1 + n_rows)
+    variables and n_rows epigraph rows is built, sizing the tableau its solve
+    pivots: of the explicit dual with epigraph variables, else of the program."""
+    n, k = inst.n_files, inst.n_users
+    n_vars, n_eq = n * (k + 1) + n_t, n + exact_cache
+    n_ub = (not exact_cache) + ((n - 1) * k if ordered else 0) + n_rows
+    lp._check_tableau(*((2 * n_eq + n_ub, 0, n_vars) if n_t else (n_vars, n_eq, n_ub)))
 
 
 @dataclass(frozen=True)
@@ -343,9 +347,3 @@ def is_popularity_first(a: PlacementLike) -> bool:
     """True iff a_{n,l} >= a_{n+1,l} - ENTRY_TOL for every l >= 1."""
     m = as_matrix(a)
     return bool(np.all(m[:-1, 1:] - m[1:, 1:] >= -ENTRY_TOL))  # vacuous for N <= 1
-
-
-def cache_used(a: PlacementLike, n_users: int) -> float:
-    """Total per-user cache occupied by a placement."""
-    m = as_matrix(a)
-    return float((m @ cache_coefficients(n_users)).sum())

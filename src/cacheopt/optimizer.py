@@ -18,7 +18,7 @@ sit under strongly skewed popularity, and the search matches the LP on the
 reference instances and on randomized grids.  ``solve_p4_lp`` drops the
 ordering restriction and handles nonuniform file sizes through an epigraph LP
 with one variable per (message level, requested-file set), sized from (N, K)
-by ``model.check_epigraph_program`` before its weights are computed.
+by ``model.check_placement_program`` before its weights are computed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import g_coefficients, rate_from_coefficients
 from .delivery import message_weights
-from .model import (Instance, LpOptimum, binom, check_epigraph_program, placement_program,
+from .model import (Instance, LpOptimum, binom, check_placement_program, placement_program,
                     solve_placement)
 
 _TOL = 1e-12
@@ -252,6 +252,7 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
         raise ValueError("this LP is formulated for uniform file sizes")
     if scheme not in ("mccs", "ccs"):
         raise ValueError("scheme must be 'mccs' or 'ccs'")
+    check_placement_program(inst, exact_cache=True, ordered=True)
     coeffs = g_coefficients(inst)
     g = coeffs.g if scheme == "mccs" else coeffs.g_ccs
     return solve_placement(placement_program(inst, g.ravel(), exact_cache=True, ordered=True), inst)
@@ -267,7 +268,7 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     """
     n, k = inst.n_files, inst.n_users
     keys = [math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1)]  # per set size s
-    check_epigraph_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
+    check_placement_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
     weights = message_weights(inst, "mccs")
     cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)
                          for files, w in weights if files.shape[1] <= l + 1])

@@ -6,8 +6,9 @@ next-less-popular file's row, spending part of that row's server share, so the
 partition, ordering, and nonnegativity constraints hold by construction.
 
 The oracles compute what the library computes by per-file passes the slow way:
-by listing the demand multiset classes, or, at uniform popularity, by the exact
-rate of Yu, Maddah-Ali and Avestimehr (IEEE Trans. Inf. Theory, 2018).
+by listing the demand multiset classes or the requested-file sets, or, at
+uniform popularity, by the exact rate of Yu, Maddah-Ali and Avestimehr (IEEE
+Trans. Inf. Theory, 2018).
 """
 
 from __future__ import annotations
@@ -21,10 +22,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cacheopt.bounds import distinct_set_probability, enumerate_distinct_sets
-from cacheopt.delivery import leader_group, message_weights
+from cacheopt.bounds import _position_weights, distinct_set_probability
+from cacheopt.delivery import _set_probabilities, file_sets, leader_group, message_weights
 from cacheopt.lp import LpProblem, SizeGuardError
-from cacheopt.model import Instance, binom, cache_used, placement_program
+from cacheopt.model import Instance, as_matrix, binom, cache_coefficients, placement_program
+
+
+def cache_used(a, n_users: int) -> float:
+    """Total per-user cache occupied by a placement."""
+    return float((as_matrix(a) @ cache_coefficients(n_users)).sum())
+
+
+def enumerate_distinct_sets(inst: Instance):
+    """All possible distinct sets, by size then lexicographically: ``file_sets``, 1-based."""
+    for files in file_sets(inst):
+        yield from map(tuple, (files + 1).tolist())
 
 
 def random_popularity(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -74,6 +86,18 @@ def full_epigraph_problem(inst: Instance) -> LpProblem:
     c = np.concatenate([np.zeros(n * (k + 1)),
                         [distinct_set_probability(inst, D) for D in dsets]])
     return placement_program(inst, c, (np.array(lhs), np.array(owner)))
+
+
+def enumerated_p2_objective(inst: Instance) -> np.ndarray:
+    """P2's weights by walking every requested-file set D:
+    weight[n, l] = sum_{D containing n} P(D) C(K - rank_D(n), l), ranks in
+    popularity order."""
+    w = np.zeros((inst.n_files, inst.n_users + 1))
+    for files in file_sets(inst):  # rows ascending = popularity order
+        prob = _set_probabilities(inst, files)
+        pw = _position_weights(inst.n_users, files.shape[1])
+        np.add.at(w, (files, slice(inst.n_users)), prob[:, None, None] * pw)
+    return w
 
 
 def demand_class_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,6 +16,8 @@ import pytest
 import cacheopt as lib
 import cacheopt.cli  # noqa: F401  the benchmark imports every layer, cli too, by module name
 
+from conftest import enumerate_distinct_sets
+
 ARGS = ["--files", "5", "--users", "3", "--cache", "1.200000", "--zipf", "0.800000"]
 SIZES = ["--sizes", "[1.500,0.700,1.200,0.500,2.000]"]
 EXACT_TOL = 1e-9
@@ -46,7 +48,7 @@ def test_general_bounds(inst, sized):
         if which != "p2":  # P1 and P5 are attained at their placement, set by set
             attained = sum(lib.bounds.distinct_set_probability(case, d)
                            * lib.bounds.rlb_general(tuple(d), res.placement.matrix)
-                           for d in lib.bounds.enumerate_distinct_sets(case))
+                           for d in enumerate_distinct_sets(case))
             assert abs(attained - res.value) <= EXACT_TOL
 
 

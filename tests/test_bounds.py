@@ -13,20 +13,21 @@ from cacheopt import lp
 from cacheopt.bounds import (
     conditional_expected_bound_distinct,
     distinct_set_probability,
-    enumerate_distinct_sets,
     lower_bound_p1,
     lower_bound_p2,
     lower_bound_p5,
     rlb_general,
     rlb_popfirst,
 )
-from cacheopt.delivery import _set_probabilities, expected_rate, file_sets
+from cacheopt.delivery import _by_rank, _set_probabilities, expected_rate, file_sets
 from cacheopt.lp import SizeGuardError, solve, solve_via_dual
 from cacheopt.model import Instance, binom, validate_placement, zipf_popularity
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
 from conftest import (
     assert_refused_early,
+    enumerate_distinct_sets,
+    enumerated_p2_objective,
     full_epigraph_problem,
     random_popularity,
     random_q_instance,
@@ -262,6 +263,30 @@ class TestRowGeneration:
 
 
 class TestOrderedBound:
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 12), k=st.integers(1, 6),
+           kind=st.sampled_from(["zipf", "dirichlet", "tied"]), theta=st.floats(0.0, 2.0),
+           zeros=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_weights_match_set_walk(self, n, k, kind, theta, zeros, seed):
+        # the forward pass against the walk over every requested-file set
+        rng = np.random.default_rng(seed)
+        if kind == "zipf":
+            p = zipf_popularity(n, theta)
+        elif kind == "dirichlet":
+            p = np.sort(rng.dirichlet(np.full(n, 0.5)))[::-1]
+        else:  # a few popularity levels, each shared by a run of files
+            p = np.sort(rng.integers(1, 4, size=n))[::-1].astype(float)
+        p[n - min(zeros, n - 1):] = 0.0  # files nobody requests
+        inst = Instance(n, k, 0.0, p / p.sum())
+        want, got = enumerated_p2_objective(inst), _by_rank(inst)
+        assert np.array_equal(want == 0.0, got == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_size_guard(self):
+        # a plain LP, past the file-set keys: 4,997 rows and 9,998 tableau
+        # columns at (1000,4), refused before its weights are computed
+        assert_refused_early(lower_bound_p2, Instance.from_zipf(1000, 4, 100.0, 0.8), 381)
+
     def test_dominates_general_bound(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 6))

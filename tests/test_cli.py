@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -100,11 +101,19 @@ class TestOptimizeCommand:
                                "--cache", "1", "--zipf", "0.5")
         assert code == 3
         assert "guard" in err
-        # P2 reads the file-set table, refused on its (level, file set) keys
-        code, out, err = run_cli(capsys, "bound", "--which", "p2", "--files", "30", "--users", "8",
+        # P1 reads the file-set table, refused on its (level, file set) keys
+        code, out, err = run_cli(capsys, "bound", "--which", "p1", "--files", "30", "--users", "8",
                                  "--cache", "3", "--zipf", "0.8")
         assert code == 3 and out == ""
         assert "keys" in err
+        # P2 and the placement LP pivot their own 381 MiB tableau at (1000,4)
+        for argv in (("bound", "--which", "p2"), ("optimize", "--method", "lp")):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv, "--files", "1000", "--users", "4",
+                                     "--cache", "100", "--zipf", "0.8")
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out == ""
+            assert "(381 MiB) exceeds the 256 MiB tableau guard" in err
         # the general bound's first program would pivot a 602 MiB dual tableau
         code, out, err = run_cli(capsys, "bound", "--which", "p1", "--files", "20", "--users", "4",
                                  "--cache", "5", "--zipf", "0.56")

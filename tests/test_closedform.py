@@ -5,7 +5,8 @@ from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed, g_coeffici
 from cacheopt.delivery import expected_rate
 from cacheopt.model import Instance, binom
 
-from conftest import random_popularity, random_q_instance, redundancy_probabilities
+from conftest import (enumerate_distinct_sets, random_popularity, random_q_instance,
+                      redundancy_probabilities)
 
 
 class TestRedundancyProbabilities:
@@ -25,7 +26,7 @@ class TestRedundancyProbabilities:
         inst = Instance(4, 4, 1.0, random_popularity(4, rng))
         p_iun = redundancy_probabilities(inst)
         # P(u distinct requests) from the joint law, for every rank that exists
-        from cacheopt.bounds import distinct_set_probability, enumerate_distinct_sets
+        from cacheopt.bounds import distinct_set_probability
         pu = np.zeros(5)
         for D in enumerate_distinct_sets(inst):
             pu[len(D)] += distinct_set_probability(inst, D)

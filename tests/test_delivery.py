@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from cacheopt.bounds import (
     distinct_set_probability,
-    enumerate_distinct_sets,
-    lower_bound_p2,
+    lower_bound_p1,
     rlb_general,
     rlb_popfirst,
 )
@@ -34,6 +34,7 @@ from cacheopt.optimizer import one_group_candidate
 
 from conftest import (
     demand_classes,
+    enumerate_distinct_sets,
     enumerated_g,
     enumerated_message_weights,
     message_weight_dict,
@@ -52,9 +53,14 @@ class TestStructure:
         ((1, 1, 2), (1, 2)),
         ((3, 3, 3, 3), (3,)),
         ((4, 2, 1, 3), (1, 2, 3, 4)),
+        ((2.0, np.int64(1), 2), (1, 2)),
     ])
     def test_distinct_set(self, d, expected):
         assert distinct_set(d) == expected
+
+    def test_fractional_file_rejected(self):
+        with pytest.raises(ValueError, match="file index must be a whole number, got 1.5"):
+            distinct_set((1.5, 2))  # not truncated to file 1
 
     def test_empty_distinct_set_rejected(self):
         assert distinct_set((2, 1, 2)) == (1, 2)
@@ -107,10 +113,10 @@ class TestMessageSize:
 
 
 class TestFileIndices:
-    """1-based files outside 1..N are refused by name, never wrapped to another file."""
+    """1-based files outside 1..N or not whole numbers are refused by name, never
+    wrapped or truncated to another file."""
 
-    @pytest.mark.parametrize("bad", [0, 3], ids=["zero", "N+1"])
-    @pytest.mark.parametrize("call", [
+    CALLS = pytest.mark.parametrize("call", [
         lambda d: rlb_general(d, K2_MATRIX),
         lambda d: rlb_popfirst(d, K2_MATRIX),
         lambda d: distinct_set_probability(K2_INSTANCE, d),
@@ -120,9 +126,21 @@ class TestFileIndices:
         lambda d: coded_message_size((1, 2), d, K2_MATRIX),
     ], ids=["rlb_general", "rlb_popfirst", "distinct_set_probability", "rate_mccs",
             "rate_ccs", "rate_mccs_lemma3", "coded_message_size"])
+
+    @pytest.mark.parametrize("bad", [0, 3], ids=["zero", "N+1"])
+    @CALLS
     def test_out_of_range_file(self, call, bad):
         assert call((1, 2)) >= 0.0
         with pytest.raises(ValueError, match=f"file index {bad} outside 1..2"):
+            call((bad, 1))
+
+    @pytest.mark.parametrize("bad", [1.5, True, "2"], ids=["fraction", "bool", "str"])
+    @CALLS
+    def test_non_whole_file(self, call, bad):
+        # 1.5 is not truncated to file 1; whole numbers of any type still pass
+        assert call((np.int64(2), 1.0)) == call((2, 1))
+        match = re.escape(f"file index must be a whole number, got {bad!r}")
+        with pytest.raises(ValueError, match=match):
             call((bad, 1))
 
 
@@ -307,7 +325,7 @@ class TestExpectedRate:
         with pytest.raises(SizeGuardError, match="keys"):
             conditional_expected_rate_distinct(inst, server)
         with pytest.raises(SizeGuardError, match="keys"):
-            lower_bound_p2(inst)  # its distinct sets come from the same guarded table
+            lower_bound_p1(inst)  # its distinct sets come from the same guarded table
         assert time.perf_counter() - start < 1.0
         # the coefficients need no keys: one backward pass over the files
         g = g_coefficients(inst).g

@@ -6,10 +6,10 @@ import pytest
 from scipy.optimize import linprog
 
 from cacheopt import lp
-from cacheopt.bounds import lower_bound_p5
+from cacheopt.bounds import lower_bound_p2, lower_bound_p5
 from cacheopt.lp import LpProblem, solve, solve_via_dual
 from cacheopt.model import Instance, zipf_popularity
-from cacheopt.optimizer import solve_p4_lp
+from cacheopt.optimizer import solve_p3_lp, solve_p4_lp
 
 from conftest import full_epigraph_problem
 
@@ -206,10 +206,11 @@ class TestMemory:
         assert peak <= 2.5 * tableau, f"peak {peak / tableau:.2f}x the tableau"
 
     def test_guard_sizes_the_tableau_it_protects(self, monkeypatch):
-        # every _check_dual_tableau call of P4 and of each P5 round admits the
-        # tableau its solve then pivots at exactly its bytes, and no less
+        # every _check_tableau call of P4, of each P5 round, of P2 and of P3
+        # admits the tableau its solve then pivots at exactly its bytes, and
+        # no less: the dual route's tableau is that of the dual's primal solve
         checked, shapes = [], []
-        check, init = lp._check_dual_tableau, lp._Tableau.__init__
+        check, init = lp._check_tableau, lp._Tableau.__init__
 
         def record_check(*dims):
             checked.append(dims)
@@ -219,12 +220,15 @@ class TestMemory:
             shapes.append(T.shape)
             init(tab, T, basis)
 
-        monkeypatch.setattr(lp, "_check_dual_tableau", record_check)
+        monkeypatch.setattr(lp, "_check_tableau", record_check)
         monkeypatch.setattr(lp._Tableau, "__init__", record_tableau)
         inst = Instance(6, 3, 2.0, zipf_popularity(6, 0.56), np.linspace(0.5, 2.0, 6))
         solve_p4_lp(inst)
         lower_bound_p5(inst)
-        assert len(checked) == len(shapes) >= 3
+        uniform = Instance(6, 3, 2.0, zipf_popularity(6, 0.56))
+        lower_bound_p2(uniform)
+        solve_p3_lp(uniform)
+        assert len(checked) == len(shapes) >= 5
         for dims, (rows, cols) in zip(checked, shapes):
             monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8)
             check(*dims)

@@ -6,7 +6,6 @@ import pytest
 from cacheopt.model import (
     Instance,
     Placement,
-    cache_used,
     ingest_popularity,
     is_popularity_first,
     parse_instance_json,
@@ -15,7 +14,7 @@ from cacheopt.model import (
     zipf_popularity,
 )
 
-from conftest import random_q_placement
+from conftest import cache_used, random_q_placement
 
 
 class TestZipf:

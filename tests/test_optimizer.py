@@ -11,7 +11,6 @@ from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
 from cacheopt.delivery import expected_rate
 from cacheopt.model import (
     Instance,
-    cache_used,
     is_popularity_first,
     partition_coefficients,
     solve_placement,
@@ -28,7 +27,7 @@ from cacheopt.optimizer import (
     two_group_candidate,
 )
 
-from conftest import assert_refused_early, random_popularity, random_q_instance
+from conftest import assert_refused_early, cache_used, random_popularity, random_q_instance
 
 
 def distinct_rows(matrix, tol=1e-6):
@@ -264,6 +263,11 @@ class TestPlacementLp:
             lp_opt = solve_p3_lp(inst, scheme="ccs")
             assert lp_opt.value == pytest.approx(best.rate, abs=1e-6)
 
+    def test_size_guard(self):
+        # 1,001 equalities and 3,996 <= rows at (1000,4): a 381 MiB tableau,
+        # refused before the coefficients are computed
+        assert_refused_early(solve_p3_lp, Instance.from_zipf(1000, 4, 100.0, 0.8), 381)
+
 
 class TestUnrestrictedLp:
     def test_unit_sizes_two_users_power_law(self):
@@ -438,6 +442,19 @@ class TestBoundRateChain:
         q_inst, a = random_q_instance(n, k, rng)
         assert avg_rate_closed(q_inst, a) == pytest.approx(
             expected_rate("mccs", q_inst, a), abs=1e-9)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_sized_chain(self, n, k, seed):
+        # P5 <= P4 <= the exact rate of any placement filling the same cache
+        rng = np.random.default_rng(seed)
+        sizes = rng.uniform(0.5, 2.0, size=n)
+        mass = rng.dirichlet(np.ones(k + 1), size=n) * sizes[:, None]
+        a = mass / partition_coefficients(k)  # row n partitions to its size
+        inst = Instance(n, k, cache_used(a, k), random_popularity(n, rng), sizes)
+        p5, p4 = lower_bound_p5(inst).value, solve_p4_lp(inst).value
+        assert p5 <= p4 + 1e-9
+        assert p4 <= expected_rate("mccs", inst, a) + 1e-9
 
 
 class TestPlacementLpsChecked:

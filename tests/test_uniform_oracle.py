@@ -9,7 +9,7 @@ Avestimehr's R_t (``conftest.yu_uniform_rate``).
 import numpy as np
 import pytest
 
-from cacheopt.bounds import lower_bound_p1
+from cacheopt.bounds import lower_bound_p1, lower_bound_p2
 from cacheopt.closedform import g_coefficients
 from cacheopt.delivery import expected_rate
 from cacheopt.lp import SizeGuardError
@@ -47,6 +47,14 @@ def test_expected_rate_refuses_past_key_guard(n, k):
     inst = corner(n, k, 1)
     with pytest.raises(SizeGuardError, match="keys"):
         expected_rate("mccs", inst, one_group_candidate(inst, n).matrix)
+
+
+def test_ordered_bound_meets_uniform_rate_past_key_guard():
+    # at theta = 0, P1 <= P2 <= the search and both ends equal R_t; (30,8) has
+    # 12,440,544 (level, file set) keys, and P2 reads none of them
+    for t in range(9):
+        assert lower_bound_p2(corner(30, 8, t)).value == pytest.approx(
+            float(yu_uniform_rate(30, 8, t)), abs=1e-12)
 
 
 def test_search_and_general_bound_meet_uniform_rate():
