@@ -15,8 +15,9 @@ guard; it bounds memory, not time):
   over orderings is linearized with one epigraph variable per distinct set and
   one constraint per ordering, generated only while violated (a cutting-plane
   loop from each set's popularity order).  The sets D and their
-  probabilities come from ``delivery.file_sets`` and its key guard; each
-  round is sized before its rows are built.
+  probabilities come from ``delivery.file_sets``; its key guard and the
+  first round's tableau are checked from (N, K) before the table is built,
+  and each later round is sized before its rows are built.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed; its weights come from ``delivery._by_rank``.
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .delivery import (_by_rank, _set_probabilities, conditional_expected_distinct, distinct_set,
-                       file_sets)
+                       file_sets, set_counts)
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     Instance,
@@ -149,15 +150,15 @@ def _generated_bound(inst: Instance) -> LpOptimum:
     the full optimum.  Rows keep the table's order; iterations sums pivots.
     """
     n, k, top = inst.n_files, inst.n_users, min(inst.n_files, inst.n_users)
+    n_sets = sum(sets for sets, _ in set_counts(inst))
+    check_placement_program(inst, n_sets, n_sets)  # round 1: each set's popularity order
     table = [(files, _set_probabilities(inst, files)) for files in file_sets(inst)]
     c = np.concatenate([np.zeros(n * (k + 1))] + [prob for _, prob in table])
     first = np.cumsum([0] + [len(files) for files, _ in table])  # first set of each size
     w, radix = _position_weights(k, top), top ** top  # row key: set * radix + ordering digits
     picks = [(np.arange(len(f)), np.tile(np.arange(f.shape[1]), (len(f), 1))) for f, _ in table]
     blocks, pivots = [], 0
-    while True:  # size this round's program before building its rows
-        check_placement_program(inst, first[-1], sum(len(key) for _, key in blocks)
-                                + sum(len(sets) for sets, _ in picks))
+    while True:
         for (files, _), start, (sets, orders) in zip(table, first, picks):
             at = np.take_along_axis(files[sets], orders, axis=1)  # file at position i + 1
             rows = np.zeros((len(sets), n, k + 1))
@@ -172,13 +173,14 @@ def _generated_bound(inst: Instance) -> LpOptimum:
         opt = solve_placement(placement_program(inst, c, (lhs, owner)), inst)
         pivots += opt.iterations
         x = opt.placement.matrix
-        beaten = np.full(first[-1], -np.inf)
+        beaten = np.full(n_sets, -np.inf)
         np.maximum.at(beaten, owner, lhs @ x.ravel())
         picks = [_best_orderings(np.moveaxis(x[files, :k] @ w[:files.shape[1]].T, 0, -1),
                                  beaten[start:start + len(files)])[1:]
                  for (files, _), start in zip(table, first)]
         if not any(len(sets) for sets, _ in picks):
             return replace(opt, iterations=pivots)
+        check_placement_program(inst, n_sets, len(owner) + sum(len(sets) for sets, _ in picks))
 
 
 def _require_uniform(inst: Instance, which: str):

@@ -1,21 +1,21 @@
 """Command-line interface: optimize, bound, sweep, rate, selftest.
 
-Numeric output is fixed to 6 decimal places and rows are emitted in grid
-order, so repeated runs with identical inputs produce byte-identical files.
-Sweep points are evaluated concurrently (``CACHEOPT_THREADS`` caps the worker
-count); errors exit nonzero with a one-line reason on stderr, using code 2 for
-malformed input and 3 for size-guard violations.
+Numeric output is fixed to 6 decimal places, so repeated runs with identical
+inputs produce byte-identical files.  A sweep solves its points one at a time,
+in grid order, in the calling process; each row depends only on its own point,
+so to use several cores, split the grid across ``cacheopt sweep`` processes and
+concatenate their rows.  Errors exit nonzero with a one-line reason on stderr,
+using code 2 for malformed input and 3 for size-guard violations and running
+out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -176,14 +176,6 @@ def _sweep_point(x: float, inst: Instance, outputs: tuple[str, ...]) -> dict[str
     return row
 
 
-def _worker_count(n_points: int) -> int:
-    env = os.environ.get("CACHEOPT_THREADS")
-    cap = int(env) if env else min(os.cpu_count() or 1, 8)
-    if cap < 1:
-        raise ValueError("CACHEOPT_THREADS must be >= 1")
-    return min(cap, n_points)
-
-
 def cmd_sweep(args) -> int:
     if args.variable == "theta":
         if args.popularity is not None or args.instance:
@@ -212,13 +204,7 @@ def cmd_sweep(args) -> int:
     else:
         points = [replace(inst, popularity=zipf_popularity(inst.n_files, x)) for x in xs]
 
-    workers = _worker_count(len(xs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, xs, points, repeat(outputs)))
-    else:
-        rows = list(map(_sweep_point, xs, points, repeat(outputs)))
-
+    rows = [_sweep_point(x, point, outputs) for x, point in zip(xs, points)]
     lines = ["x," + ",".join(outputs)]
     lines += [",".join(_fixed6(row[name]) for name in ("x",) + outputs) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
@@ -345,8 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeGuardError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,13 +14,13 @@ so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
 Expectations over random demands are exact and list no demands.  The general
 bounds and the padded messages sum over requested-file sets, and
 ``file_sets`` lists them once: one array per set size, guarded on the
-(level, file set) keys before anything is allocated.  Users request
-independently, so a demand's weight factors over files, and ``_join`` adds one
-file: c more users request it and b of those c join a message's user subset.
-Forward over the files of each set it gives the distinct-set probabilities of
-``bounds`` and ``message_weights`` (the expected messages behind the exact
-expected rates and P4); over all files, forward it gives P2's weights and
-backward those of ``closedform``.  The all-distinct conditional expectations
+(level, file set) keys that ``set_counts`` counts from (N, K) before anything
+is allocated.  Users request independently, so a demand's weight factors over
+files, and ``_join`` adds one file: c more users request it and b of those c
+join a message's user subset.  Forward over the files of each set it gives the
+distinct-set probabilities of ``bounds`` and ``message_weights`` (the expected
+messages behind the exact expected rates and P4); over all files, forward it
+gives P2's weights and backward those of ``closedform``.  The all-distinct conditional expectations
 read the table's size-K block.  Only this module knows both layouts.
 """
 
@@ -185,18 +185,26 @@ def _join(ways: np.ndarray, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return phi @ placed.reshape(k + 1, (k + 1) * states, rows)
 
 
-def file_sets(inst: Instance) -> list[np.ndarray]:
-    """The file-set table: per size s = 1..min(N, K), the C(N, s) x s array of
-    zero-based file sets in ``combinations`` order.  Raises ``SizeGuardError``
-    first when the (level, file set) keys sum_s C(N, s) (K - s + 1) exceed
+def set_counts(inst: Instance) -> list[tuple[int, int]]:
+    """The file-set table's size, from (N, K) alone: per set size s = 1..min(N, K),
+    its C(N, s) file sets and their C(N, s) (K - s + 1) (level, file set) keys,
+    one per level l >= s - 1.  Raises ``SizeGuardError`` when the keys exceed
     ``KEY_GUARD``."""
     n, k = inst.n_files, inst.n_users
-    keys = sum(math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1))
+    counts = [(math.comb(n, s), math.comb(n, s) * (k - s + 1)) for s in range(1, min(n, k) + 1)]
+    keys = sum(key for _, key in counts)
     if keys > KEY_GUARD:
         raise SizeGuardError(f"{keys} (level, file set) keys exceed the {KEY_GUARD}-key guard")
-    return [np.fromiter(chain.from_iterable(combinations(range(n), s)), dtype=np.intp,
-                        count=math.comb(n, s) * s).reshape(-1, s)
-            for s in range(1, min(n, k) + 1)]
+    return counts
+
+
+def file_sets(inst: Instance) -> list[np.ndarray]:
+    """The file-set table: per size s = 1..min(N, K), the C(N, s) x s array of
+    zero-based file sets in ``combinations`` order, built after ``set_counts``
+    admits it."""
+    return [np.fromiter(chain.from_iterable(combinations(range(inst.n_files), s)), dtype=np.intp,
+                        count=sets * s).reshape(-1, s)
+            for s, (sets, _) in enumerate(set_counts(inst), 1)]
 
 
 def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray,

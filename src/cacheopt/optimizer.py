@@ -17,8 +17,9 @@ prefix split between the server and one cache level), where the optimum can
 sit under strongly skewed popularity, and the search matches the LP on the
 reference instances and on randomized grids.  ``solve_p4_lp`` drops the
 ordering restriction and handles nonuniform file sizes through an epigraph LP
-with one variable per (message level, requested-file set), sized from (N, K)
-by ``model.check_placement_program`` before its weights are computed.
+with one variable per (message level, requested-file set), counted from (N, K)
+by ``delivery.set_counts`` and sized by ``model.check_placement_program``
+before its weights are computed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bounds import lower_bound_p1, lower_bound_p2
 from .closedform import g_coefficients, rate_from_coefficients
-from .delivery import message_weights
+from .delivery import message_weights, set_counts
 from .model import (Instance, LpOptimum, binom, check_placement_program, placement_program,
                     solve_placement)
 
@@ -267,7 +268,7 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     the key's expected message count.
     """
     n, k = inst.n_files, inst.n_users
-    keys = [math.comb(n, s) * (k - s + 1) for s in range(1, min(n, k) + 1)]  # per set size s
+    keys = [key for _, key in set_counts(inst)]  # per set size s
     check_placement_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
     weights = message_weights(inst, "mccs")
     cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)

@@ -218,6 +218,15 @@ class TestGeneralBound:
         sized = Instance(20, 4, 5.0, zipf_popularity(20, 0.56), np.linspace(0.5, 2.0, 20))
         assert_refused_early(lower_bound_p5, sized, 602)
 
+    def test_first_round_sized_before_the_table(self):
+        # round 1 is sized from (N, K) before the file-set table and its P(D)
+        # are built: at (40,5) the 873,748 keys pass the key guard, but the
+        # 760,098 sets' first round needs an 8,820,401 MiB tableau
+        assert_refused_early(lower_bound_p1, Instance.from_zipf(40, 5, 8.0, 0.8), 8820401)
+        assert_refused_early(lower_bound_p1, Instance.from_zipf(60, 4, 12.0, 0.8), 4188746)
+        sized = Instance(40, 5, 8.0, zipf_popularity(40, 0.8), np.linspace(0.5, 2.0, 40))
+        assert_refused_early(lower_bound_p5, sized, 8820401)
+
 
 class TestRowGeneration:
     """P1/P5 generate their ordering rows; the full epigraph LP is the oracle."""

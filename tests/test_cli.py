@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cacheopt import bounds
+from cacheopt import bounds, optimizer
 from cacheopt.cli import main
 
 
@@ -418,3 +418,53 @@ class TestOutputFiles:
                                "--outputs", "mccs_opt", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("x,mccs_opt")
+
+
+class TestSingleProcess:
+    """A sweep solves its points one at a time, in grid order, in this process."""
+
+    @staticmethod
+    def sweep(capsys, *grid):
+        code, out, err = run_cli(capsys, "sweep", "--files", "5", "--users", "3", "--zipf", "0.8",
+                                 *grid)
+        assert code == 0, err
+        return out
+
+    def test_sweep_runs_in_calling_process(self, capsys, monkeypatch):
+        monkeypatch.delenv("CACHEOPT_THREADS", raising=False)
+        calls = []
+        for module, name in ((optimizer, "optimize_mccs"), (bounds, "lower_bound_p2")):
+            def tap(inst, *args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, inst.cache_size))
+                return _fn(inst, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, tap)
+        self.sweep(capsys, "--variable", "cache", "--start", "0.5", "--stop", "2.5",
+                   "--step", "1", "--outputs", "mccs_opt,lb_p2")
+        assert calls == [(name, x) for x in (0.5, 1.5, 2.5)
+                         for name in ("optimize_mccs", "lower_bound_p2")]
+
+    @pytest.mark.parametrize("grid,whole,halves", [
+        (("--variable", "cache", "--step", "0.3"), ("0.3", "2.1"), (("0.3", "0.9"), ("1.2", "2.1"))),
+        (("--cache", "1.2", "--variable", "theta", "--step", "0.2"), ("0.1", "1.3"),
+         (("0.1", "0.5"), ("0.7", "1.3"))),
+    ], ids=["cache", "theta"])
+    def test_split_grid_concatenates(self, capsys, grid, whole, halves):
+        # the documented way to use several cores: one process per part of the grid
+        def run(start, stop):
+            return self.sweep(capsys, *grid, "--start", start, "--stop", stop)
+
+        first, second = (run(*half) for half in halves)
+        header, rest = second.split("\n", 1)
+        assert first.startswith(header + "\n")
+        assert run(*whole) == first + rest
+
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(optimizer, "optimize_mccs", exhausted)
+        code, out, err = run_cli(capsys, "optimize", "--files", "4", "--users", "2",
+                                 "--cache", "1", "--zipf", "0.5")
+        assert code == 3 and out == ""
+        assert err == "error: out of memory\n"
