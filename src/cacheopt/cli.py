@@ -262,8 +262,8 @@ def cmd_selftest(args) -> int:
     # use the same cache budget (convexity keeps all constraints and the
     # popularity-first order)
     inst2 = Instance.from_zipf(4, 3, 1.5, 0.8)
-    cands = optimizer.enumerate_candidates(inst2)
-    blend = 0.5 * cands[0].matrix + 0.5 * cands[-1].matrix
+    blend = (0.5 * optimizer.one_group_candidate(inst2, 2).matrix
+             + 0.5 * optimizer.two_group_candidate(inst2, 2, 3, 2, n_top=3).matrix)
     closed = avg_rate_closed(inst2, blend)
     enum = delivery.expected_rate("mccs", inst2, blend)
     checks.append(("closed form matches exact enumeration", abs(closed - enum) < 1e-9))

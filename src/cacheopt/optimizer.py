@@ -9,7 +9,9 @@ split) and ``two_group_candidate`` over (n_o, n_top, l_o, l_1), where
 l_1 = l_o is case 2i and n_top < N adds the server tail.  Each candidate is
 labelled (kind, n_o, n_1) by the runs of identical rows its matrix realizes,
 scored with the polynomial-time average-rate expression, and the minimizer
-kept.  Tuples outside their validity ranges are skipped, never clamped.
+kept.  Tuples outside their validity ranges are skipped, never clamped.  The
+search streams its tuples and holds one best candidate per scheme, so its
+memory is O(N K); its time still grows as N^2 K^2, with no guard.
 
 ``solve_p3_lp`` solves the same minimization exactly as an LP and certifies
 the search: the family includes the empty-first-group boundary (n_o = 0, a
@@ -25,6 +27,7 @@ before its weights are computed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -181,44 +184,40 @@ def two_group_candidate(inst: Instance, n_o: int, l_o: int, l_1: int,
     return _labelled(matrix, l_o, None if l_1 == l_o else l_1)
 
 
-def enumerate_candidates(inst: Instance) -> list[GroupingCandidate]:
-    """All valid closed-form candidates, deduplicated by realized placement.
-
-    Boundary tuples can emit identical matrices; the first producer (and its
-    l_o, l_1) wins.  One-group prefixes come first, then the split-with-server
-    family with n_top = N before the three-group tops 1..N-1.
-    """
+def _candidates(inst: Instance) -> Iterator[GroupingCandidate | None]:
+    """Every closed-form tuple's candidate, None where the tuple is invalid:
+    one-group prefixes first, then the split-with-server family with
+    n_top = N before the three-group tops 1..N-1."""
     n, k = inst.n_files, inst.n_users
-    out: list[GroupingCandidate] = []
-    seen: set[bytes] = set()
-
-    def add(cand: GroupingCandidate | None):
-        if cand is None:
-            return
-        key = np.ascontiguousarray(np.round(cand.matrix, 12) + 0.0).tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-
     for n_o in range(1, n + 1):
-        add(one_group_candidate(inst, n_o))
+        yield one_group_candidate(inst, n_o)
     for top in (n, *range(1, n)):
         for n_o in range(top):
             for l_o in range(1, k + 1):
                 for l_1 in range(1, k + 1):
-                    add(two_group_candidate(inst, n_o, l_o, l_1, n_top=top))
-    return out
+                    yield two_group_candidate(inst, n_o, l_o, l_1, n_top=top)
 
 
-def _best(cands: list[GroupingCandidate], coef: np.ndarray) -> GroupingCandidate:
-    """Lowest-rate candidate under ``coef``; near-ties go to the simplest grouping (sort_key)."""
-    best: GroupingCandidate | None = None
-    for cand in cands:
-        rate = rate_from_coefficients(coef, cand.matrix)
-        if best is None or rate < best.rate - 1e-12 or (
-                rate < best.rate + 1e-12 and cand.sort_key() < best.sort_key()):
-            best = replace(cand, rate=rate)
-    if best is None:
+def _best(inst: Instance, coefs: tuple[np.ndarray, ...]) -> list[GroupingCandidate]:
+    """Lowest-rate candidate under each coefficient matrix, in one pass over the
+    family; near-ties go to the simplest grouping (sort_key).
+
+    Boundary tuples can rebuild a placement already built.  One whose matrix,
+    rounded to 12 decimals, equals the current best's never replaces it, so
+    the first producer (and its l_o, l_1) keeps the label.
+    """
+    best: list[GroupingCandidate | None] = [None] * len(coefs)
+    for cand in _candidates(inst):
+        if cand is None:
+            continue
+        for i, coef in enumerate(coefs):
+            rate, held = rate_from_coefficients(coef, cand.matrix), best[i]
+            if held is None or (
+                    (rate < held.rate - 1e-12
+                     or rate < held.rate + 1e-12 and cand.sort_key() < held.sort_key())
+                    and not np.array_equal(np.round(cand.matrix, 12), np.round(held.matrix, 12))):
+                best[i] = replace(cand, rate=rate)
+    if best[0] is None:
         raise RuntimeError("candidate search produced no feasible placement; this is a bug")
     return best
 
@@ -227,24 +226,24 @@ def optimize_ccs(inst: Instance) -> GroupingCandidate:
     """Best placement for the all-subsets baseline scheme (same candidate family)."""
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes")
-    return _best(enumerate_candidates(inst), g_coefficients(inst).g_ccs)
+    return _best(inst, (g_coefficients(inst).g_ccs,))[0]
 
 
 def optimize_mccs(inst: Instance, *, with_bounds: bool = True,
                   with_ccs: bool = True) -> OptimizeReport:
-    """Grouping search for the redundancy-removing scheme, with bound context."""
+    """Grouping search for the redundancy-removing scheme, with bound context.
+
+    The bounds come first, so their size guards refuse an instance before the
+    search runs.
+    """
     if not inst.uniform_sizes:
         raise ValueError("the grouping search requires uniform file sizes; see solve_p4_lp")
-    cands = enumerate_candidates(inst)
+    lb1 = lower_bound_p1(inst).value if with_bounds else None
+    lb2 = lower_bound_p2(inst).value if with_bounds else None
     coeffs = g_coefficients(inst)
-    best = _best(cands, coeffs.g)
-    rate_ccs = _best(cands, coeffs.g_ccs).rate if with_ccs else None
-    lb1 = lb2 = gap = None
-    if with_bounds:
-        lb1 = lower_bound_p1(inst).value
-        lb2 = lower_bound_p2(inst).value
-        gap = best.rate - lb1
-    return OptimizeReport(best, best.rate, rate_ccs, lb1, lb2, gap)
+    best, *ccs = _best(inst, (coeffs.g, coeffs.g_ccs) if with_ccs else (coeffs.g,))
+    gap = best.rate - lb1 if with_bounds else None
+    return OptimizeReport(best, best.rate, ccs[0].rate if ccs else None, lb1, lb2, gap)
 
 
 def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:

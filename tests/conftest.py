@@ -8,7 +8,8 @@ partition, ordering, and nonnegativity constraints hold by construction.
 The oracles compute what the library computes by per-file passes the slow way:
 by listing the demand multiset classes or the requested-file sets, or, at
 uniform popularity, by the exact rate of Yu, Maddah-Ali and Avestimehr (IEEE
-Trans. Inf. Theory, 2018).
+Trans. Inf. Theory, 2018).  The grouping search's oracle lists its candidate
+family, deduplicated by placement, and picks from the list.
 """
 
 from __future__ import annotations
@@ -17,15 +18,18 @@ import itertools
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cacheopt.bounds import _position_weights, distinct_set_probability
+from cacheopt.closedform import rate_from_coefficients
 from cacheopt.delivery import _set_probabilities, file_sets, leader_group, message_weights
 from cacheopt.lp import LpProblem, SizeGuardError
 from cacheopt.model import Instance, as_matrix, binom, cache_coefficients, placement_program
+from cacheopt.optimizer import GroupingCandidate, one_group_candidate, two_group_candidate
 
 
 def cache_used(a, n_users: int) -> float:
@@ -200,6 +204,46 @@ def yu_uniform_rate(n: int, k: int, t: int) -> Fraction:
     return sum(Fraction(math.comb(n, u) * stirling[k][u] * math.factorial(u), n ** k)
                * (math.comb(k, t + 1) - math.comb(k - u, t + 1))
                for u in range(1, min(n, k) + 1)) / math.comb(k, t)
+
+
+def enumerate_candidates(inst: Instance) -> list[GroupingCandidate]:
+    """All valid closed-form candidates, deduplicated by realized placement.
+
+    Boundary tuples can emit identical matrices; the first producer (and its
+    l_o, l_1) wins.  One-group prefixes come first, then the split-with-server
+    family with n_top = N before the three-group tops 1..N-1.
+    """
+    n, k = inst.n_files, inst.n_users
+    out: list[GroupingCandidate] = []
+    seen: set[bytes] = set()
+
+    def add(cand: GroupingCandidate | None):
+        if cand is None:
+            return
+        key = np.ascontiguousarray(np.round(cand.matrix, 12) + 0.0).tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(cand)
+
+    for n_o in range(1, n + 1):
+        add(one_group_candidate(inst, n_o))
+    for top in (n, *range(1, n)):
+        for n_o in range(top):
+            for l_o in range(1, k + 1):
+                for l_1 in range(1, k + 1):
+                    add(two_group_candidate(inst, n_o, l_o, l_1, n_top=top))
+    return out
+
+
+def best_candidate(cands: list[GroupingCandidate], coef: np.ndarray) -> GroupingCandidate:
+    """Lowest-rate candidate under ``coef``; near-ties go to the simplest grouping (sort_key)."""
+    best: GroupingCandidate | None = None
+    for cand in cands:
+        rate = rate_from_coefficients(coef, cand.matrix)
+        if best is None or rate < best.rate - 1e-12 or (
+                rate < best.rate + 1e-12 and cand.sort_key() < best.sort_key()):
+            best = replace(cand, rate=rate)
+    return best
 
 
 def assert_refused_early(solve, inst: Instance, mib: float) -> None:

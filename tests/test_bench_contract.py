@@ -88,10 +88,9 @@ def test_cli_forms(capsys):
      "p4,lb_p5", ("optimizer.solve_p4_lp", "bounds.lower_bound_p5")),
 ], ids=["theta", "cache", "sized"])
 def test_sweep_taps_in_process(capsys, monkeypatch, grid, outputs, tapped):
-    """With CACHEOPT_THREADS=1 a sweep calls the tapped functions in this process,
-    once per point and in grid order, each with that point's Instance as its
-    first argument: the benchmark pairs a point's results by that object."""
-    monkeypatch.setenv("CACHEOPT_THREADS", "1")
+    """A sweep calls the tapped functions in this process, once per point and in
+    grid order, each with that point's Instance as its first argument: the
+    benchmark pairs a point's results by that object."""
     calls = []
     for qual in tapped:
         layer, name = qual.split(".")

@@ -96,6 +96,16 @@ class TestOptimizeCommand:
         assert code == 2 and out == ""
         assert "popularity must be finite" in err
 
+    def test_bounds_refuse_before_search(self, capsys, monkeypatch):
+        def search(inst):
+            raise AssertionError("the grouping search ran before the bounds' guards")
+
+        monkeypatch.setattr(optimizer, "_candidates", search)
+        code, out, err = run_cli(capsys, "optimize", "--files", "40", "--users", "5",
+                                 "--cache", "8", "--zipf", "0.8")
+        assert code == 3 and out == ""
+        assert "tableau guard" in err
+
     def test_size_guard_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--files", "13", "--users", "8",
                                "--cache", "1", "--zipf", "0.5")

@@ -1,13 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cacheopt import closedform, lp, optimizer
 from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
-from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed
+from cacheopt.closedform import avg_rate_ccs_closed, avg_rate_closed, g_coefficients
 from cacheopt.delivery import expected_rate
 from cacheopt.model import (
     Instance,
@@ -18,7 +19,6 @@ from cacheopt.model import (
     zipf_popularity,
 )
 from cacheopt.optimizer import (
-    enumerate_candidates,
     one_group_candidate,
     optimize_ccs,
     optimize_mccs,
@@ -27,7 +27,14 @@ from cacheopt.optimizer import (
     two_group_candidate,
 )
 
-from conftest import assert_refused_early, cache_used, random_popularity, random_q_instance
+from conftest import (
+    assert_refused_early,
+    best_candidate,
+    cache_used,
+    enumerate_candidates,
+    random_popularity,
+    random_q_instance,
+)
 
 
 def distinct_rows(matrix, tol=1e-6):
@@ -422,6 +429,50 @@ class TestSearchCoefficients:
         assert report.rate_mccs == pytest.approx(
             expected_rate("mccs", inst, report.best.matrix), abs=1e-9)
         assert ccs.rate == pytest.approx(expected_rate("ccs", inst, ccs.matrix), abs=1e-9)
+
+
+class TestStreamingSearch:
+    @staticmethod
+    def fields(cand):
+        return cand.kind, cand.n_o, cand.n_1, cand.l_o, cand.l_1, cand.rate, cand.matrix.tobytes()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 9), k=st.integers(2, 5),
+           popularity=st.sampled_from(("zipf", "dirichlet", "tied")),
+           theta=st.sampled_from((0.0, 0.56, 0.8, 1.2, 2.0)), cache_frac=st.floats(0.0, 1.0),
+           on_grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=4, k=2, popularity="zipf", theta=0.8, cache_frac=0.25, on_grid=False, seed=0)
+    def test_matches_enumeration_oracle(self, n, k, popularity, theta, cache_frac, on_grid,
+                                        seed):
+        rng = np.random.default_rng(seed)
+        if popularity == "zipf":
+            p = zipf_popularity(n, theta)
+        elif popularity == "dirichlet":
+            p = random_popularity(n, rng)
+        else:  # blocks of two equally popular files
+            p = np.sort(np.repeat(rng.dirichlet(np.ones((n + 1) // 2)), 2)[:n])[::-1]
+        m = round(cache_frac * n * k) / k if on_grid else cache_frac * n
+        inst = Instance(n, k, m, p / p.sum())
+        cands, coeffs = enumerate_candidates(inst), g_coefficients(inst)
+        report, ccs = optimize_mccs(inst, with_bounds=False), optimize_ccs(inst)
+        assert self.fields(report.best) == self.fields(best_candidate(cands, coeffs.g))
+        assert self.fields(ccs) == self.fields(best_candidate(cands, coeffs.g_ccs))
+        assert report.rate_ccs_opt == ccs.rate
+
+    def test_first_producer_keeps_label(self):
+        # a later tuple rebuilds the winning placement with a smaller sort_key
+        best = optimize_mccs(Instance.from_zipf(4, 2, 1.0, 0.8), with_bounds=False).best
+        assert (best.kind, best.l_o, best.l_1) == ("two_group_server", 2, None)
+
+    def test_memory_does_not_grow_with_the_family(self):
+        inst = Instance.from_zipf(30, 4, 6.0, 0.8)
+        tracemalloc.start()
+        try:
+            optimize_mccs(inst, with_bounds=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 class TestBoundRateChain:
