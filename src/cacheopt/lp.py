@@ -8,9 +8,11 @@ final reduced costs at its slack columns are the primal point.  The programs
 are often heavily degenerate (many symmetric files produce identical
 coefficients) and must solve bit-reproducibly, so a dense tableau simplex
 with a fixed pivot rule is the right tool.  The standard-form tableau is
-built in one allocation and pivoted in place.  ``_check_tableau`` sizes it
-from a program's dimensions (the dual's, for ``solve_via_dual``), so callers
-refuse a program past MAX_TABLEAU_BYTES before building it.
+built in one allocation and pivoted in place: a pivot updates only the rows
+its column touches, a block of rows at a time, and makes no tableau-sized
+temporary.  ``_check_tableau`` sizes the tableau from a program's
+dimensions (the dual's, for ``solve_via_dual``), so callers refuse a program
+past MAX_TABLEAU_BYTES before building it.
 Dantzig pricing is used until a degeneracy stall is detected, after which
 Bland's rule guarantees termination.  Row prices are read off the final
 reduced costs of the slack and artificial columns; no second linear solve.
@@ -123,12 +125,24 @@ class _Tableau:
                 self.cost -= cj * self.T[r]
 
     def pivot(self, row: int, col: int):
+        """Make column ``col`` the unit vector of ``row``.
+
+        The pivot row is divided in place; only the other rows with a nonzero
+        entry in ``col`` are updated, in blocks of about 256 KiB of
+        temporaries, so no tableau-sized temporary is made.  Each updated
+        entry gets T[i, j] - T[i, col] * T[row, j], the arithmetic of the
+        dense rank-1 update, so pivots and values do not depend on the
+        sparsity.  (A skipped row can keep a -0.0 that the dense update
+        would have made +0.0.)
+        """
         T = self.T
-        piv = T[row, col]
-        T[row] = T[row] / piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T -= np.outer(colvals, T[row])
+        T[row] /= T[row, col]
+        rows = np.flatnonzero(T[:, col])
+        rows = rows[rows != row]
+        step = max(1, 2 ** 15 // T.shape[1])
+        for start in range(0, rows.size, step):
+            block = rows[start:start + step]
+            T[block] -= np.multiply.outer(T[block, col], T[row])
         ccoef = self.cost[col]
         if ccoef != 0.0:
             self.cost -= ccoef * T[row]

@@ -9,7 +9,8 @@ The oracles compute what the library computes by per-file passes the slow way:
 by listing the demand multiset classes or the requested-file sets, or, at
 uniform popularity, by the exact rate of Yu, Maddah-Ali and Avestimehr (IEEE
 Trans. Inf. Theory, 2018).  The grouping search's oracle lists its candidate
-family, deduplicated by placement, and picks from the list.
+family, deduplicated by placement, and picks from the list.  The simplex
+pivot's oracle updates every row of the tableau with one dense outer product.
 """
 
 from __future__ import annotations
@@ -244,6 +245,21 @@ def best_candidate(cands: list[GroupingCandidate], coef: np.ndarray) -> Grouping
                 rate < best.rate + 1e-12 and cand.sort_key() < best.sort_key()):
             best = replace(cand, rate=rate)
     return best
+
+
+def dense_pivot(tab, row: int, col: int):
+    """``lp._Tableau.pivot`` as one dense rank-1 update of the whole tableau."""
+    T = tab.T
+    piv = T[row, col]
+    T[row] = T[row] / piv
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    ccoef = tab.cost[col]
+    if ccoef != 0.0:
+        tab.cost -= ccoef * T[row]
+    tab.basis[row] = col
+    tab.iterations += 1
 
 
 def assert_refused_early(solve, inst: Instance, mib: float) -> None:

@@ -3,15 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from cacheopt import lp
-from cacheopt.bounds import lower_bound_p2, lower_bound_p5
+from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
 from cacheopt.lp import LpProblem, solve, solve_via_dual
 from cacheopt.model import Instance, zipf_popularity
 from cacheopt.optimizer import solve_p3_lp, solve_p4_lp
 
-from conftest import full_epigraph_problem
+from conftest import dense_pivot, full_epigraph_problem
 
 
 def random_problem(rng, n_max=8, m_max=6):
@@ -179,31 +181,43 @@ class TestSolutionQuality:
         assert np.array_equal(a.x, b.x)
 
 
+def dual_solve_peak(monkeypatch, problem: LpProblem) -> float:
+    """The ``tracemalloc`` peak of the one ``lp.solve`` that ``solve_via_dual``
+    makes for ``problem``, over the bytes of that solve's tableau."""
+    peaks = []
+    direct = lp.solve
+
+    def traced(prob):
+        tracemalloc.start()
+        try:
+            sol = direct(prob)
+            peaks.append((prob, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return sol
+
+    monkeypatch.setattr(lp, "solve", traced)
+    assert solve_via_dual(problem).optimal
+    assert len(peaks) == 1  # the dual route, no primal fallback
+    dual, peak = peaks[0]
+    # <= rows with nonnegative rhs: slacks only, no artificials
+    assert dual.eq_lhs is None and np.all(dual.ub_rhs >= 0)
+    rows, cols = dual.ub_lhs.shape
+    return peak / (rows * (cols + rows + 1) * 8)
+
+
 class TestMemory:
     def test_tableau_built_in_one_allocation(self, monkeypatch):
-        # the P1 dual at (7,4): the tableau plus one pivot update is the floor
-        problem = full_epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56))
-        peaks = []
-        direct = lp.solve
+        # the P1 dual at (7,4): a 133 x 1,248 tableau, so the pivots' blocks
+        # of temporaries are a visible share of it
+        ratio = dual_solve_peak(monkeypatch, full_epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56)))
+        assert ratio <= 2.5, f"peak {ratio:.2f}x the tableau"
 
-        def traced(prob):
-            tracemalloc.start()
-            try:
-                sol = direct(prob)
-                peaks.append((prob, tracemalloc.get_traced_memory()[1]))
-            finally:
-                tracemalloc.stop()
-            return sol
-
-        monkeypatch.setattr(lp, "solve", traced)
-        assert solve_via_dual(problem).optimal
-        assert len(peaks) == 1  # the dual route, no primal fallback
-        dual, peak = peaks[0]
-        # <= rows with nonnegative rhs: slacks only, no artificials
-        assert dual.eq_lhs is None and np.all(dual.ub_rhs >= 0)
-        rows, cols = dual.ub_lhs.shape
-        tableau = rows * (cols + rows + 1) * 8
-        assert peak <= 2.5 * tableau, f"peak {peak / tableau:.2f}x the tableau"
+    def test_pivots_make_no_tableau_sized_temporary(self, monkeypatch):
+        # the P1 dual at (9,4), a 300 x 3,929 tableau: a dense rank-1 update
+        # per pivot peaks at about 2x the tableau, the blocked one near 1.07x
+        ratio = dual_solve_peak(monkeypatch, full_epigraph_problem(Instance.from_zipf(9, 4, 2.25, 0.56)))
+        assert ratio <= 1.25, f"peak {ratio:.2f}x the tableau"
 
     def test_guard_sizes_the_tableau_it_protects(self, monkeypatch):
         # every _check_tableau call of P4, of each P5 round, of P2 and of P3
@@ -235,3 +249,138 @@ class TestMemory:
             monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8 - 1)
             with pytest.raises(lp.SizeGuardError):
                 check(*dims)
+
+
+# Kuhn's example: Dantzig pricing cycles at its degenerate start, so the
+# solve needs Bland's rule to leave the vertex
+KUHN = LpProblem(objective=[-2.0, -3.0, 1.0, 12.0],
+                 ub_lhs=[[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0], [2.0, 3.0, -1.0, -12.0]],
+                 ub_rhs=[0.0, 0.0, 2.0])
+
+
+def zero_rhs_problem(seed: int, n: int, m: int) -> LpProblem:
+    """m sparse integer rows through the origin, plus sum(x) <= 1: a
+    degenerate start that Dantzig pricing leaves only after many pivots."""
+    rng = np.random.default_rng(seed)
+    lhs = rng.integers(-2, 3, size=(m, n)) * (rng.random((m, n)) < 0.5)
+    return LpProblem(objective=rng.integers(-3, 3, size=n).astype(float),
+                     ub_lhs=np.vstack([lhs, np.ones((1, n))]), ub_rhs=np.append(np.zeros(m), 1.0))
+
+
+def lp_programs(solver, inst: Instance) -> list[LpProblem]:
+    """The programs ``solver(inst)`` hands to ``lp.solve``, in call order
+    (for the dual route, the explicit duals)."""
+    programs, direct = [], lp.solve
+
+    def record(problem):
+        programs.append(problem)
+        return direct(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "solve", record)
+        solver(inst)
+    return programs
+
+
+def assert_same_as_dense(problem: LpProblem) -> int:
+    """``lp.solve`` with the blocked pivot equals it with the dense oracle:
+    status, pivot count, x, value and both row-price blocks (signed zeros
+    aside).  Returns the oracle's longest run of degenerate pivots."""
+    blocked = solve(problem)
+    run = longest = 0
+
+    def counted(tab, row, col):
+        nonlocal run, longest
+        run = run + 1 if tab.T[row, -1] <= lp.PIVOT_TOL else 0
+        longest = max(longest, run)
+        dense_pivot(tab, row, col)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp._Tableau, "pivot", counted)
+        dense = solve(problem)
+    assert (blocked.status, blocked.iterations) == (dense.status, dense.iterations)
+    for field in ("x", "value", "duals_eq", "duals_ub"):
+        mine, ref = getattr(blocked, field), getattr(dense, field)
+        assert (mine is None) == (ref is None), field
+        assert mine is None or np.array_equal(mine, ref), field
+    return longest
+
+
+SIZED_6_4 = Instance(6, 4, 3.0, zipf_popularity(6, 0.8), np.linspace(0.5, 2.0, 6))
+SIZED_7_4 = Instance(7, 4, 3.5, zipf_popularity(7, 0.8), np.linspace(0.5, 2.0, 7))
+
+
+class TestBlockedPivot:
+    """The blocked sparse pivot against the dense rank-1 update it replaced."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m_eq=st.integers(0, 3),
+           m_ub=st.integers(0, 8), density=st.sampled_from([0.3, 0.6, 1.0]),
+           feasible=st.booleans(), bounded=st.booleans())
+    @example(seed=3653403231, n=6, m_eq=2, m_ub=2, density=0.3, feasible=False, bounded=False)
+    @example(seed=2404827117, n=8, m_eq=1, m_ub=7, density=0.3, feasible=True, bounded=False)
+    @example(seed=323153949, n=1, m_eq=0, m_ub=7, density=0.6, feasible=True, bounded=True)
+    @settings(max_examples=150, deadline=None)
+    def test_random_programs(self, seed, n, m_eq, m_ub, density, feasible, bounded):
+        # sparse integer rows scaled by a random factor: equalities, negative
+        # right-hand sides, degenerate vertices; infeasible when the rhs is
+        # random, unbounded without the bounding row (the examples are one of
+        # each status)
+        rng = np.random.default_rng(seed)
+        m = m_eq + m_ub
+        lhs = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < density)
+        rhs = rng.integers(-3, 4, m)
+        if feasible:
+            rhs = lhs @ rng.integers(0, 3, n) + np.r_[np.zeros(m_eq, int), rng.integers(0, 3, m_ub)]
+        if bounded:
+            lhs, rhs, m_ub = np.vstack([lhs, np.ones(n)]), np.r_[rhs, 3 * n], m_ub + 1
+        scale = rng.uniform(0.5, 2.0, len(rhs))
+        lhs, rhs = lhs * scale[:, None], rhs * scale
+        assert_same_as_dense(LpProblem(
+            objective=rng.integers(-3, 4, n).astype(float),
+            eq_lhs=lhs[:m_eq] if m_eq else None, eq_rhs=rhs[:m_eq] if m_eq else None,
+            ub_lhs=lhs[m_eq:] if m_ub else None, ub_rhs=rhs[m_eq:] if m_ub else None))
+
+    @pytest.mark.parametrize("problem", [KUHN, zero_rhs_problem(3, 60, 240)], ids=["kuhn", "zero-rhs"])
+    def test_degenerate_programs_reach_bland(self, problem):
+        # the pivot after DEGENERATE_STALL degenerate ones is Bland's
+        assert assert_same_as_dense(problem) > lp.DEGENERATE_STALL
+
+    @pytest.mark.parametrize("solver, inst", [
+        (lower_bound_p1, Instance.from_zipf(7, 4, 2.0, 0.56)),
+        (lower_bound_p1, Instance.from_zipf(7, 4, 2.0, 0.0)),
+        (solve_p4_lp, Instance.from_zipf(7, 4, 2.0, 0.56)),
+        (lower_bound_p2, Instance.from_zipf(7, 4, 2.0, 0.56)),
+        (solve_p3_lp, Instance.from_zipf(7, 4, 2.0, 0.56)),
+        (solve_p4_lp, SIZED_6_4),
+        (lower_bound_p5, SIZED_6_4),
+        (lower_bound_p5, SIZED_7_4),
+    ], ids=["p1", "p1-theta0", "p4", "p2", "p3", "p4-sized", "p5-sized", "p5-sized-7"])
+    def test_placement_programs(self, solver, inst):
+        # every round of P1/P5's row generation; both LP routes
+        programs = lp_programs(solver, inst)
+        assert programs
+        for problem in programs:
+            assert_same_as_dense(problem)
+
+
+class TestPinnedPivots:
+    """Pivot counts and values at the benchmark's sizes, recorded with the
+    dense pivot: a change to the pivot rules or the tableau's arithmetic must
+    update them on purpose."""
+
+    @pytest.mark.parametrize("n, k, iterations, value", [
+        (9, 4, 609, "1.9631412104345194"),
+        (10, 4, 1845, "2.079875695219863"),
+        (8, 5, 692, "1.9816370414545874"),
+    ])
+    def test_general_bound(self, n, k, iterations, value):
+        opt = lower_bound_p1(Instance.from_zipf(n, k, 1.5, 0.8))
+        assert (opt.iterations, repr(opt.value)) == (iterations, value)
+
+    @pytest.mark.parametrize("solver, iterations, value", [
+        (solve_p4_lp, 386, "1.207436440921438"),
+        (lower_bound_p5, 617, "1.1670661362897765"),
+    ])
+    def test_sized_bounds(self, solver, iterations, value):
+        opt = solver(SIZED_7_4)
+        assert (opt.iterations, repr(opt.value)) == (iterations, value)
