@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from itertools import product
@@ -24,6 +25,7 @@ from .closedform import avg_rate_closed
 from .lp import SizeGuardError
 from .model import (
     Instance,
+    _floats,
     file_rows,
     ingest_instance,
     is_popularity_first,
@@ -76,14 +78,14 @@ def _build_instance(args, need_cache: bool = True) -> tuple[Instance, np.ndarray
     if args.users is None or (args.cache is None and need_cache):
         raise ValueError("need --instance or --users/--cache plus a popularity source")
     if args.popularity is not None:
-        pop = np.asarray(json.loads(args.popularity), dtype=float)
+        pop = json.loads(args.popularity)
     elif args.zipf is not None:
         if args.files is None:
             raise ValueError("--zipf needs --files")
         pop = zipf_popularity(args.files, args.zipf)
     else:
         raise ValueError("need --popularity or --zipf")
-    sizes = None if args.sizes is None else np.asarray(json.loads(args.sizes), dtype=float)
+    sizes = None if args.sizes is None else json.loads(args.sizes)
     return ingest_instance(int(args.users), float(args.cache or 0.0), pop, sizes)
 
 
@@ -215,7 +217,7 @@ def cmd_rate(args) -> int:
     inst, _ = _build_instance(args)
     with open(args.placement) as fh:
         doc = json.load(fh)
-    matrix = np.asarray(doc["placement"] if isinstance(doc, dict) else doc, dtype=float)
+    matrix = _floats(doc["placement"] if isinstance(doc, dict) else doc, "placement")
     # 6-decimal entries are off by 5e-7 each: partition weights C(K, l) sum to
     # 2^K per file, cache weights C(K-1, l-1) to 2^(K-1)
     k = inst.n_users
@@ -264,13 +266,15 @@ def cmd_selftest(args) -> int:
     inst2 = Instance.from_zipf(4, 3, 1.5, 0.8)
     blend = (0.5 * optimizer.one_group_candidate(inst2, 2).matrix
              + 0.5 * optimizer.two_group_candidate(inst2, 2, 3, 2, n_top=3).matrix)
-    closed = avg_rate_closed(inst2, blend)
-    enum = delivery.expected_rate("mccs", inst2, blend)
-    checks.append(("closed form matches exact enumeration", abs(closed - enum) < 1e-9))
+    demands = list(product(range(1, 5), repeat=3))  # every demand of inst2, listed
+    enum = math.fsum(math.prod(inst2.popularity[f - 1] for f in d) * delivery.rate_mccs(d, blend)
+                     for d in demands)
+    checks.append(("closed form matches exact enumeration",
+                   abs(avg_rate_closed(inst2, blend) - enum) < 1e-9))
 
     ok_l3 = all(
         abs(delivery.rate_mccs_lemma3(d, blend) - delivery.rate_mccs(d, blend)) < 1e-12
-        for d in product(range(1, 5), repeat=3)
+        for d in demands
     )
     checks.append(("redundancy-counting rate identity", ok_l3))
 

@@ -5,9 +5,9 @@ entries: E[rate] = sum_{n,l} g[n,l] * a[n,l].  A level-l message is padded to
 its most popular file's entry, so g[n, l] is the expected number of level-l
 messages whose most popular requested file is n: subsets meeting a leader for
 the redundancy-removing scheme, every subset for the baseline ``g_ccs``.  One
-backward pass of ``delivery``'s per-file step over the files gives both in
-O(N K^4), with no list of demands.  Nothing is cached: to score many
-placements of one instance, compute g once.
+backward pass of ``delivery``'s per-file step over the files in popularity
+order gives both in O(N K^4), with no list of demands.  Nothing is cached: to
+score many placements of one instance, compute g once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delivery import _by_most_popular
+from .delivery import _by_padded_file
 from .model import Instance, PlacementLike, as_matrix, is_popularity_first
 
 
@@ -33,8 +33,8 @@ class RateCoefficients:
 
 
 def g_coefficients(inst: Instance) -> RateCoefficients:
-    """Rate coefficients of (N, K, popularity), by one backward pass over the files."""
-    missed, hits = _by_most_popular(inst)
+    """Rate coefficients of (N, K, popularity), by one backward pass in popularity order."""
+    missed, hits = _by_padded_file(inst, np.arange(inst.n_files))
     return RateCoefficients(g=hits, g_ccs=hits + missed)
 
 

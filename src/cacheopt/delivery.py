@@ -12,16 +12,18 @@ tuples.  Two delivery strategies are evaluated on the same placement:
 Messages mixing subfiles of different sizes are padded to the largest subfile,
 so a message for subset S at level l costs max_{k in S} a_{d_k, l}.
 Expectations over random demands are exact and list no demands.  The general
-bounds and the padded messages sum over requested-file sets, and
+bounds and P4's padded messages sum over requested-file sets, and
 ``file_sets`` lists them once: one array per set size, guarded on the
 (level, file set) keys that ``set_counts`` counts from (N, K) before anything
 is allocated.  Users request independently, so a demand's weight factors over
 files, and ``_join`` adds one file: c more users request it and b of those c
 join a message's user subset.  Forward over the files of each set it gives the
-distinct-set probabilities of ``bounds`` and ``message_weights`` (the expected
-messages behind the exact expected rates and P4); over all files, forward it
-gives P2's weights and backward those of ``closedform``.  The all-distinct conditional expectations
-read the table's size-K block.  Only this module knows both layouts.
+distinct-set probabilities of ``bounds`` and P4's ``message_weights``; over
+all files, forward it gives P2's weights and backward, in a given order, the
+messages by the file they pad to (``_by_padded_file``): the exact expected
+rates and the coefficients of ``closedform``.  The all-distinct conditional
+expectations read the table's size-K block.  Only this module knows both
+layouts.
 """
 
 from __future__ import annotations
@@ -235,16 +237,16 @@ def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
     return _forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0, np.zeros(1, np.intp))[:, 0]
 
 
-def _by_most_popular(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """(missed, hits)[n, l]: the expected number of level-l messages whose most
-    popular requested file is n, missing every leader or meeting one.
+def _by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(missed, hits)[i, l]: the expected number of level-l messages whose first
+    requested file in ``order`` is order[i], missing every leader or meeting one.
 
-    One backward pass over the files: ``ways`` weighs the demands of the files
-    after n, any of them in the subset.  File n joins in the subset, then the
-    files before it join outside it as one file of their total popularity.
+    One backward pass over ``order``: ``ways`` weighs the demands of the files
+    after order[i], any of them in the subset.  order[i] joins in the subset,
+    then the files before it join outside it as one file of their total popularity.
     """
-    n, k, p = inst.n_files, inst.n_users, inst.popularity
-    head = np.concatenate([[0.0], np.cumsum(p)[:-1]])  # head[n] = sum_{n' < n} p
+    n, k, p = inst.n_files, inst.n_users, inst.popularity[order]
+    head = np.concatenate([[0.0], np.cumsum(p)[:-1]])  # head[i] = sum_{i' < i} p
     ways = np.zeros((k + 1, 2 * k + 2, 1))
     ways[0, 0] = 1.0
     counts = np.zeros((2, n, k + 1))
@@ -274,38 +276,43 @@ def _by_rank(inst: Instance) -> np.ndarray:
     return w
 
 
-def message_weights(inst: Instance, scheme: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Expected message counts, one (files, W) pair per block of ``file_sets``.
+def message_weights(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Expected message counts of the redundancy-removing scheme, one (files, W)
+    pair per block of ``file_sets``: P4's objective.
 
     A message for user subset U has level l = |U| - 1 and is padded to
     max_{f in S} a[f, l], so its size depends only on the file set S that U
-    requests.  W[i, l] is the expected number of level-l messages whose users
-    request exactly the files of row i of ``files``; it is zero for l < s - 1
-    at set size s.  One forward pass per set counts every subset for 'ccs' and
-    for 'mccs' those meeting a leader.
+    requests.  W[i, l] is the expected number of level-l messages, meeting a
+    leader, whose users request exactly the files of row i of ``files``; it is
+    zero for l < s - 1 at set size s.  One forward pass per set.
     """
-    if scheme not in ("mccs", "ccs"):
-        raise ValueError(f"scheme must be 'mccs' or 'ccs', got {scheme!r}")
     k = inst.n_users
     hits = np.arange(k + 2, 2 * k + 2)  # (leader hit, b = l + 1) for l = 0..K-1
-    states = hits if scheme == "mccs" else np.concatenate([hits, hits - k - 1])  # and the misses
-    blocks = []
-    for files in file_sets(inst):
-        ways = _forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0), states)
-        blocks.append((files, ways if scheme == "mccs" else ways[:, :k] + ways[:, k:]))
-    return blocks
+    return [(files, _forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0), hits))
+            for files in file_sets(inst)]
 
 
 def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
     """Exact average rate of scheme ``rate_fn`` ('mccs' or 'ccs') over random demands.
 
-    The ``math.fsum`` of W * max_{f in files} a[f, l] over ``message_weights``.
+    A level-l message pads to its first file in column l's descending order, so
+    ``_by_padded_file`` in that order counts what each a[order[i], l] pays for:
+    one pass per distinct order, one for a popularity-first a.  Level 0's
+    messages hold one file, so any order counts them.
     """
-    m = as_matrix(a)
-    terms = ((w[:, l] * m[files, l].max(axis=1)).tolist()
-             for files, w in message_weights(inst, rate_fn)
-             for l in range(files.shape[1] - 1, w.shape[1]))  # W is zero below level s - 1
-    return math.fsum(chain.from_iterable(terms))
+    if rate_fn not in ("mccs", "ccs"):
+        raise ValueError(f"scheme must be 'mccs' or 'ccs', got {rate_fn!r}")
+    m, n, k = as_matrix(a), inst.n_files, inst.n_users
+    if m.shape != (n, k + 1):
+        raise ValueError(f"placement must be {n} x {k + 1}, got {m.shape[0]} x {m.shape[1]}")
+    counts, terms = {}, []
+    for l in range(k):
+        order = np.argsort(-m[:, l], kind="stable") if l else np.arange(n)
+        if order.tobytes() not in counts:
+            missed, hits = _by_padded_file(inst, order)
+            counts[order.tobytes()] = hits if rate_fn == "mccs" else hits + missed
+        terms.append(counts[order.tobytes()][:, l] * m[order, l])
+    return math.fsum(np.concatenate(terms).tolist())
 
 
 def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:

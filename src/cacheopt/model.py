@@ -118,6 +118,15 @@ def _whole(value, what: str) -> int:
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 
 
+def _floats(value, what: str, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float array, of ``ndim`` dimensions if given; ValueError
+    names ``what`` for null, a string, a bool or an object."""
+    arr = np.asarray(value)  # ragged lists raise ValueError here
+    if arr.dtype.kind not in "iuf" or ndim not in (None, arr.ndim):
+        raise ValueError(f"{what} must be {'a number' if ndim == 0 else 'numbers'}, got {value!r}")
+    return arr.astype(float)
+
+
 def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
     """Build an Instance from its JSON form.
 
@@ -135,31 +144,31 @@ def parse_instance_json(text: str) -> tuple[Instance, np.ndarray]:
         raise ValueError("instance JSON must be an object")
     try:
         users = _whole(doc["users"], 'instance JSON "users"')
-        cache = float(doc["cache"])
+        cache = float(_floats(doc["cache"], 'instance JSON "cache"', 0))
     except KeyError as exc:
         raise ValueError(f"instance JSON missing key {exc}") from exc
     if "popularity" in doc:
-        pop = np.asarray(doc["popularity"], dtype=float)
+        pop = doc["popularity"]
     elif "zipf_theta" in doc:
         if "files" not in doc:
             raise ValueError('instance JSON with "zipf_theta" needs "files"')
-        pop = zipf_popularity(_whole(doc["files"], 'instance JSON "files"'), float(doc["zipf_theta"]))
+        pop = zipf_popularity(_whole(doc["files"], 'instance JSON "files"'),
+                              float(_floats(doc["zipf_theta"], 'instance JSON "zipf_theta"', 0)))
     else:
         raise ValueError('instance JSON needs "popularity" or "zipf_theta"')
-    sizes = np.asarray(doc["sizes"], dtype=float) if "sizes" in doc else None
-    return ingest_instance(users, cache, pop, sizes)
+    return ingest_instance(users, cache, pop, doc["sizes"] if "sizes" in doc else None)
 
 
 def ingest_instance(users: int, cache: float, popularity,
                     sizes=None) -> tuple[Instance, np.ndarray]:
     """Instance from user-supplied vectors: sorts by popularity, forgives
     rounding in the normalization, and keeps sizes aligned with their files."""
-    pop = np.asarray(popularity, dtype=float)
+    pop = _floats(popularity, "popularity")
     if pop.ndim != 1:
         raise ValueError("popularity must be a 1-D array of per-file probabilities")
     if sizes is None:
         sizes = np.ones(pop.shape[0])
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = _floats(sizes, "sizes")
     if sizes.shape != pop.shape:
         raise ValueError("sizes length must match the number of files")
     total = float(pop.sum())

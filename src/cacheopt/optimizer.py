@@ -269,7 +269,7 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     n, k = inst.n_files, inst.n_users
     keys = [key for _, key in set_counts(inst)]  # per set size s
     check_placement_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
-    weights = message_weights(inst, "mccs")
+    weights = message_weights(inst)
     cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)
                          for files, w in weights if files.shape[1] <= l + 1])
     n_a, width = n * (k + 1), np.concatenate([np.full(len(b), b.shape[1]) for b in cols])

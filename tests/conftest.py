@@ -32,6 +32,8 @@ from cacheopt.lp import LpProblem, SizeGuardError
 from cacheopt.model import Instance, as_matrix, binom, cache_coefficients, placement_program
 from cacheopt.optimizer import GroupingCandidate, one_group_candidate, two_group_candidate
 
+pytest_plugins = ["pytester"]  # runs inner pytest sessions
+
 
 def cache_used(a, n_users: int) -> float:
     """Total per-user cache occupied by a placement."""
@@ -148,11 +150,11 @@ def enumerated_message_weights(inst: Instance, scheme: str) -> dict:
     return dict(sorted(weights.items()))
 
 
-def message_weight_dict(inst: Instance, scheme: str) -> dict:
+def message_weight_dict(inst: Instance) -> dict:
     """``message_weights`` folded into {(level, 1-based file tuple): weight},
     keys sorted: every (l, files) with |files| <= l + 1, zero weights included."""
     weights = {}
-    for files, w in message_weights(inst, scheme):
+    for files, w in message_weights(inst):
         for row, ws in zip((files + 1).tolist(), w.tolist()):
             weights.update(((l, tuple(row)), ws[l]) for l in range(len(row) - 1, inst.n_users))
     return dict(sorted(weights.items()))

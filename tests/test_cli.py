@@ -96,6 +96,29 @@ class TestOptimizeCommand:
         assert code == 2 and out == ""
         assert "popularity must be finite" in err
 
+    @pytest.mark.parametrize("kind,value,field", [
+        ("instance", '{"users": 2, "cache": null, "popularity": [0.6, 0.4]}', '"cache"'),
+        ("instance", '{"users": 2, "cache": [1], "popularity": [0.6, 0.4]}', '"cache"'),
+        ("instance", '{"users": 2, "cache": 1, "popularity": {"a": 1}}', "popularity"),
+        ("popularity", '{"a": 1}', "popularity"),
+        ("sizes", '{"a": 1}', "sizes"),
+        ("placement", '{"placement": {"a": 1}}', "placement"),
+    ], ids=["cache-null", "cache-list", "instance-popularity-object", "popularity-object",
+            "sizes-object", "placement-object"])
+    def test_malformed_field_exit_2(self, capsys, tmp_path, kind, value, field):
+        # a value of the wrong JSON type names its field, with no traceback
+        path = tmp_path / "in.json"
+        path.write_text(value)
+        args = {"instance": ["optimize", "--instance", str(path)],
+                "popularity": ["optimize", "--users", "2", "--cache", "1", "--popularity", value],
+                "sizes": ["optimize", "--users", "2", "--cache", "1",
+                          "--popularity", "[0.6, 0.4]", "--sizes", value],
+                "placement": ["rate", "--users", "2", "--cache", "1", "--popularity", "[0.6, 0.4]",
+                              "--placement", str(path), "--demand", "1,2"]}[kind]
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
     def test_bounds_refuse_before_search(self, capsys, monkeypatch):
         def search(inst):
             raise AssertionError("the grouping search ran before the bounds' guards")

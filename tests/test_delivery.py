@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cacheopt import delivery
 from cacheopt.bounds import (
     distinct_set_probability,
     lower_bound_p1,
@@ -29,7 +30,7 @@ from cacheopt.delivery import (
     redundancy_profile,
 )
 from cacheopt.lp import SizeGuardError
-from cacheopt.model import Instance, binom, is_popularity_first
+from cacheopt.model import Instance, binom
 from cacheopt.optimizer import one_group_candidate
 
 from conftest import (
@@ -287,19 +288,62 @@ class TestExpectedRate:
     def test_worked_example(self):
         assert expected_rate("mccs", K2_INSTANCE, K2_MATRIX) == pytest.approx(0.92, abs=1e-12)
 
-    def test_matches_raw_enumeration(self, rng):
-        # reversed rows are not popularity-first: the padded size is the max
-        # entry over the requested files, not the most popular file's entry
-        for _ in range(6):
-            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            inst, a = random_q_instance(n, k, rng)
-            assert not is_popularity_first(a[::-1])
-            for m in (a, a[::-1]):
-                for scheme, rate in (("mccs", rate_mccs), ("ccs", rate_ccs)):
-                    raw = sum(
-                        math.prod(inst.popularity[f - 1] for f in d) * rate(d, m)
-                        for d in itertools.product(range(1, n + 1), repeat=k))
-                    assert expected_rate(scheme, inst, m) == pytest.approx(raw, abs=1e-12)
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 5), k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           ties=st.booleans(), zero_file=st.booleans())
+    def test_matches_raw_enumeration(self, n, k, seed, ties, zero_file):
+        # any nonnegative matrix, columns in no particular order: the padded
+        # size is the max entry over the requested files, not the most popular
+        # file's entry; ties and zeros on a three-value grid
+        rng = np.random.default_rng(seed)
+        p = random_popularity(n, rng)
+        if zero_file and n > 1:
+            p[-1] = 0.0
+        inst = Instance(n, k, 0.0, p / p.sum())
+        a = rng.random((n, k + 1))
+        a = np.round(a * 2) / 2 if ties else a * (rng.random((n, k + 1)) > 0.2)
+        for scheme, rate in (("mccs", rate_mccs), ("ccs", rate_ccs)):
+            raw = math.fsum(
+                math.prod(inst.popularity[f - 1] for f in d) * rate(d, a)
+                for d in itertools.product(range(1, n + 1), repeat=k))
+            assert expected_rate(scheme, inst, a) == pytest.approx(raw, rel=1e-13, abs=1e-13)
+
+    def test_reads_no_file_sets(self, monkeypatch):
+        # the file-set table is guarded; the rates need none of it
+        inst = Instance(5, 3, 0.0, [0.4, 0.25, 0.15, 0.12, 0.08])
+        a = np.random.default_rng(3).random((5, 4))
+        want = [expected_rate(scheme, inst, a) for scheme in ("mccs", "ccs")]
+
+        def refuse(_):
+            raise AssertionError("file_sets called")
+
+        monkeypatch.setattr(delivery, "file_sets", refuse)
+        assert [expected_rate(scheme, inst, a) for scheme in ("mccs", "ccs")] == want
+
+    def test_one_pass_per_column_order(self, monkeypatch):
+        inst = Instance(4, 3, 0.0, [0.4, 0.3, 0.2, 0.1])
+        kernel, orders = delivery._by_padded_file, []
+
+        def counted(inst, order):
+            orders.append(order.tolist())
+            return kernel(inst, order)
+
+        monkeypatch.setattr(delivery, "_by_padded_file", counted)
+        first = np.array([[0.5, 0.3, 0.2, 0.1], [0.4, 0.2, 0.2, 0.0],
+                          [0.3, 0.2, 0.1, 0.0], [0.2, 0.1, 0.0, 0.0]])
+        expected_rate("mccs", inst, first)
+        assert orders == [[0, 1, 2, 3]]  # popularity-first: one pass, as for g
+        orders.clear()
+        reversed_level_2 = first.copy()
+        reversed_level_2[:, 2] = [0.0, 0.05, 0.1, 0.15]
+        expected_rate("ccs", inst, reversed_level_2)
+        assert orders == [[0, 1, 2, 3], [3, 2, 1, 0]]
+
+    def test_placement_shape(self):
+        with pytest.raises(ValueError, match="placement must be 2 x 3"):
+            expected_rate("mccs", K2_INSTANCE, K2_MATRIX[:1])
+        with pytest.raises(ValueError, match="placement must be 2 x 3"):
+            expected_rate("mccs", K2_INSTANCE, K2_MATRIX[:, :2])
 
     def test_uncached_gives_expected_distinct_count(self, rng):
         p = random_popularity(4, rng)
@@ -321,19 +365,20 @@ class TestExpectedRate:
         # 12,440,544 (level, file set) keys: refused before anything is allocated
         start = time.perf_counter()
         with pytest.raises(SizeGuardError, match="keys"):
-            expected_rate("mccs", inst, server)
-        with pytest.raises(SizeGuardError, match="keys"):
             conditional_expected_rate_distinct(inst, server)
         with pytest.raises(SizeGuardError, match="keys"):
             lower_bound_p1(inst)  # its distinct sets come from the same guarded table
         assert time.perf_counter() - start < 1.0
+        # the rates need no keys: the expected number of distinct requests
+        assert expected_rate("mccs", inst, server) == pytest.approx(
+            30 * (1 - (29 / 30) ** 8), abs=1e-12)
         # the coefficients need no keys: one backward pass over the files
         g = g_coefficients(inst).g
         for t in range(9):
             placement = one_group_candidate(Instance(30, 8, 30 * t / 8, inst.popularity), 30)
             assert float(np.sum(g * placement.matrix)) == pytest.approx(
                 float(yu_uniform_rate(30, 8, t)), abs=1e-12)
-        # 59 keys: 21 demand classes x (2^20 - 1) user subsets are never listed
+        # 21 demand classes x (2^20 - 1) user subsets are never listed
         wide = Instance(2, 20, 1.0, [0.6, 0.4])
         one = 0.6 ** 20 + 0.4 ** 20
         assert expected_rate("mccs", wide, np.tile([1.0] + [0.0] * 20, (2, 1))) == pytest.approx(
@@ -342,47 +387,59 @@ class TestExpectedRate:
     def test_unknown_rate_fn(self):
         with pytest.raises(ValueError):
             expected_rate("nope", K2_INSTANCE, K2_MATRIX)
-        with pytest.raises(ValueError, match="scheme"):
-            message_weights(K2_INSTANCE, "nope")
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMemory:
-    def test_expected_rate_peak(self):
-        # Zipf (40,4): 102,090 file sets and 113,650 (level, file set) keys.  A
-        # dict keyed by (level, file tuple) peaks at 38.4-38.8 MiB on a 2-core
-        # x86-64 host, about 350 bytes per key.  The per-size arrays peak at
-        # 13.9 MiB when the forward pass writes out all 2K + 2 states, 7.0 MiB
-        # of them at set size 4, and at 9.7 MiB when it writes the K kept ones.
-        inst = Instance.from_zipf(40, 4, 10.0, 0.8)
-        placement = one_group_candidate(inst, 40).matrix
-        tracemalloc.start()
-        try:
-            expected_rate("mccs", inst, placement)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    # Zipf (40,4): 102,090 file sets and 113,650 (level, file set) keys
+    INST = Instance.from_zipf(40, 4, 10.0, 0.8)
+
+    def test_message_weights_peak(self):
+        # A dict keyed by (level, file tuple) peaks at 38.4-38.8 MiB on a
+        # 2-core x86-64 host, about 350 bytes per key.  The per-size arrays
+        # peak at 13.9 MiB when the forward pass writes out all 2K + 2 states,
+        # 7.0 MiB of them at set size 4, and at 8.9 MiB when it writes the K
+        # kept ones.
+        peak = traced_peak(lambda: message_weights(self.INST))
         assert peak <= 11 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    def test_expected_rate_peak(self):
+        # no file-set table: O(N K) per pass, 0.03 MiB here
+        placement = one_group_candidate(self.INST, 40).matrix
+        arbitrary = np.random.default_rng(0).random((40, 5))
+        for a in (placement, arbitrary):
+            peak = traced_peak(lambda: expected_rate("mccs", self.INST, a))
+            assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestMessageWeights:
     def test_worked_example(self):
         # d = (1,1) w.p. 0.36, (1,2)/(2,1) w.p. 0.48, (2,2) w.p. 0.16
-        assert message_weight_dict(K2_INSTANCE, "mccs") == pytest.approx({
+        assert message_weight_dict(K2_INSTANCE) == pytest.approx({
             (0, (1,)): 0.36 + 0.48, (0, (2,)): 0.48 + 0.16,
             (1, (1,)): 0.36, (1, (1, 2)): 0.48, (1, (2,)): 0.16})
-        assert message_weight_dict(K2_INSTANCE, "ccs")[(0, (1,))] == pytest.approx(2 * 0.36 + 0.48)
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_folds_to_rate_coefficients(self, n, k, seed):
         # under popularity-first order a message pads to its most popular
-        # file's entry, so summing the table by min(files) gives g and g_ccs
+        # file's entry, so summing the table by min(files) gives g, and the
+        # enumerated all-subsets table gives g_ccs
         p = np.sort(np.random.default_rng(seed).dirichlet(np.ones(n)))[::-1]
         inst = Instance(n, k, 0.0, p / p.sum())
         coeffs = g_coefficients(inst)
-        for scheme, g in (("mccs", coeffs.g), ("ccs", coeffs.g_ccs)):
+        for weights, g in ((message_weight_dict(inst), coeffs.g),
+                           (enumerated_message_weights(inst, "ccs"), coeffs.g_ccs)):
             folded = np.zeros((n, k + 1))
-            for (l, files), w in message_weight_dict(inst, scheme).items():
+            for (l, files), w in weights.items():
                 folded[min(files) - 1, l] += w
             np.testing.assert_allclose(folded, g, rtol=0, atol=1e-12)
 
@@ -390,19 +447,17 @@ class TestMessageWeights:
     @given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_enumeration(self, n, k, seed):
         inst = Instance(n, k, 0.0, random_popularity(n, np.random.default_rng(seed)))
-        for scheme in ("mccs", "ccs"):
-            want, got = enumerated_message_weights(inst, scheme), message_weight_dict(inst, scheme)
-            assert list(got) == list(want)
-            np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-13)
+        want, got = enumerated_message_weights(inst, "mccs"), message_weight_dict(inst)
+        assert list(got) == list(want)
+        np.testing.assert_allclose(list(got.values()), list(want.values()), rtol=0, atol=1e-13)
         np.testing.assert_allclose(g_coefficients(inst).g, enumerated_g(inst), rtol=0, atol=1e-13)
 
     def test_zero_popularity_keys(self):
         # a file nobody requests still keys its messages, at weight zero
         inst = Instance(3, 2, 0.0, [0.6, 0.4, 0.0])
-        for scheme in ("mccs", "ccs"):
-            weights = message_weight_dict(inst, scheme)
-            assert list(weights) == list(enumerated_message_weights(inst, scheme))
-            assert weights[(0, (3,))] == 0.0 and weights[(1, (2, 3))] == 0.0
+        weights = message_weight_dict(inst)
+        assert list(weights) == list(enumerated_message_weights(inst, "mccs"))
+        assert weights[(0, (3,))] == 0.0 and weights[(1, (2, 3))] == 0.0
 
 
 def all_distinct_classes(inst):
