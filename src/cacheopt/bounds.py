@@ -25,6 +25,7 @@ guard; it bounds memory, not time):
   constraint; placement entries and the cache budget are in bits.
 
 P1 and P2 reject nonuniform sizes rather than silently solving P5's program.
+Given K distinct requests, the bound averages with no file sets (``delivery._distinct_counts``).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .delivery import (_by_rank, _set_probabilities, conditional_expected_distinct, distinct_set,
-                       file_sets, set_counts)
+from .closedform import rate_from_coefficients
+from .delivery import _by_rank, _distinct_counts, _set_probabilities, distinct_set, file_sets, set_counts
 from .lp import PIVOT_TOL, SizeGuardError
 from .model import (
     Instance,
@@ -207,5 +208,5 @@ def lower_bound_p2(inst: Instance) -> LpOptimum:
 
 
 def conditional_expected_bound_distinct(inst: Instance, a: PlacementLike) -> float:
-    """Expected rlb_popfirst over all-distinct demands, renormalized."""
-    return conditional_expected_distinct(inst, a, rlb_popfirst)
+    """Expected rlb_popfirst given K distinct requests: ``_distinct_counts`` in popularity order."""
+    return rate_from_coefficients(_distinct_counts(inst, np.arange(inst.n_files)), a)

@@ -34,13 +34,14 @@ class RateCoefficients:
 
 def g_coefficients(inst: Instance) -> RateCoefficients:
     """Rate coefficients of (N, K, popularity), by one backward pass in popularity order."""
-    missed, hits = _by_padded_file(inst, np.arange(inst.n_files))
-    return RateCoefficients(g=hits, g_ccs=hits + missed)
+    return RateCoefficients(*_by_padded_file(inst, np.arange(inst.n_files)))
 
 
 def rate_from_coefficients(coef: np.ndarray, a: PlacementLike) -> float:
-    """Expected rate sum(coef * a) of a popularity-first a; ``coef`` is ``g`` or ``g_ccs``."""
+    """Expected rate sum(coef * a) of a popularity-first a; ``coef`` is N x (K+1), as ``g``."""
     m = as_matrix(a)
+    if m.shape != coef.shape:  # else one row would broadcast over every file
+        raise ValueError(f"placement must be {len(coef)} x {coef.shape[1]}, got {m.shape[0]} x {m.shape[1]}")
     if not is_popularity_first(m):
         raise ValueError("closed-form rates require a popularity-first placement")
     return float(np.sum(coef * m))

@@ -21,9 +21,9 @@ join a message's user subset.  Forward over the files of each set it gives the
 distinct-set probabilities of ``bounds`` and P4's ``message_weights``; over
 all files, forward it gives P2's weights and backward, in a given order, the
 messages by the file they pad to (``_by_padded_file``): the exact expected
-rates and the coefficients of ``closedform``.  The all-distinct conditional
-expectations read the table's size-K block.  Only this module knows both
-layouts.
+rates and the coefficients of ``closedform``.  Given K distinct requests, two
+passes of elementary symmetric polynomials count the same messages with no
+table (``_distinct_counts``).  Only this module knows both layouts.
 """
 
 from __future__ import annotations
@@ -86,9 +86,16 @@ def coded_message_size(subset, d: Sequence[int], a: PlacementLike) -> float:
         if u in users[:i]:
             raise ValueError(f"user {u} repeated in subset {users}")
     m = as_matrix(a)
-    rows = file_rows(d, len(m))
+    rows = _demand_rows(d, m)
     l = len(users) - 1
     return float(max(m[rows[k - 1], l] for k in users))
+
+
+def _demand_rows(d: Sequence[int], m: np.ndarray) -> np.ndarray:
+    """Zero-based rows of demand ``d``, refused unless it has one request per user of ``m``."""
+    if len(d) != m.shape[1] - 1:
+        raise ValueError(f"demand has {len(d)} requests, the placement has {m.shape[1] - 1} users")
+    return file_rows(d, len(m))
 
 
 def _rate_with_leaders(requests: Sequence[int], m: np.ndarray,
@@ -97,7 +104,7 @@ def _rate_with_leaders(requests: Sequence[int], m: np.ndarray,
     k_users = len(requests)
     leader_set = set(leaders) if leaders is not None else None
     total = 0.0
-    rows = m[file_rows(requests, len(m))]
+    rows = m[_demand_rows(requests, m)]
     for size in range(1, k_users + 1):
         l = size - 1
         for subset in combinations(range(k_users), size):
@@ -129,7 +136,7 @@ def rate_mccs_lemma3(d: Sequence[int], a: PlacementLike) -> float:
     m = as_matrix(a)
     if not is_popularity_first(m):
         raise ValueError("rate_mccs_lemma3 requires a popularity-first placement")
-    k_users = len(d)
+    k_users = len(_demand_rows(d, m))  # one request per user, else refused
     distinct, _, cumulative = redundancy_profile(d)
     u, rows = len(distinct), file_rows(distinct, len(m))
     total = 0.0
@@ -238,8 +245,8 @@ def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
 
 
 def _by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(missed, hits)[i, l]: the expected number of level-l messages whose first
-    requested file in ``order`` is order[i], missing every leader or meeting one.
+    """(mccs, ccs)[i, l]: the expected number of level-l messages whose first
+    requested file in ``order`` is order[i], meeting a leader or any.
 
     One backward pass over ``order``: ``ways`` weighs the demands of the files
     after order[i], any of them in the subset.  order[i] joins in the subset,
@@ -254,7 +261,7 @@ def _by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.n
         top = _join(_join(ways, p[f:f + 1], _choices(k, 1, k)), head[f:f + 1], _choices(k, 0, 0))
         counts[:, f, :k] = top[k, :, 0].reshape(2, k + 1)[:, 1:]
         ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
-    return counts[0], counts[1]
+    return counts[1], counts[1] + counts[0]  # flag 1: a leader is in the subset
 
 
 def _by_rank(inst: Instance) -> np.ndarray:
@@ -292,16 +299,10 @@ def message_weights(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
             for files in file_sets(inst)]
 
 
-def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
-    """Exact average rate of scheme ``rate_fn`` ('mccs' or 'ccs') over random demands.
-
-    A level-l message pads to its first file in column l's descending order, so
-    ``_by_padded_file`` in that order counts what each a[order[i], l] pays for:
-    one pass per distinct order, one for a popularity-first a.  Level 0's
-    messages hold one file, so any order counts them.
-    """
-    if rate_fn not in ("mccs", "ccs"):
-        raise ValueError(f"scheme must be 'mccs' or 'ccs', got {rate_fn!r}")
+def _padded_rate(inst: Instance, a: PlacementLike, count) -> float:
+    """sum_{l < K} sum_i count(order)[i, l] a[order[i], l], ``order`` column l's
+    descending order (any for level 0's one-file messages): the file a level-l
+    message pads to comes first.  ``count`` runs once per distinct order."""
     m, n, k = as_matrix(a), inst.n_files, inst.n_users
     if m.shape != (n, k + 1):
         raise ValueError(f"placement must be {n} x {k + 1}, got {m.shape[0]} x {m.shape[1]}")
@@ -309,30 +310,37 @@ def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
     for l in range(k):
         order = np.argsort(-m[:, l], kind="stable") if l else np.arange(n)
         if order.tobytes() not in counts:
-            missed, hits = _by_padded_file(inst, order)
-            counts[order.tobytes()] = hits if rate_fn == "mccs" else hits + missed
+            counts[order.tobytes()] = count(order)
         terms.append(counts[order.tobytes()][:, l] * m[order, l])
     return math.fsum(np.concatenate(terms).tolist())
 
 
-def conditional_expected_distinct(inst: Instance, a: PlacementLike, rate) -> float:
-    """Expected ``rate(demand, a)`` given that all K requests are distinct.
+def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:
+    """Exact average rate of scheme ``rate_fn`` ('mccs' or 'ccs') over random demands:
+    ``_by_padded_file`` once per distinct column order, once for a popularity-first a."""
+    if rate_fn not in ("mccs", "ccs"):
+        raise ValueError(f"scheme must be 'mccs' or 'ccs', got {rate_fn!r}")
+    return _padded_rate(inst, a, lambda order: _by_padded_file(inst, order)[rate_fn == "ccs"])
 
-    Walks the size-K block of ``file_sets``, each set weighed by the product of
-    its popularities (every ordering is equally likely, and rates ignore order);
-    requires K <= N for the conditioning event to be possible.
-    """
-    if inst.n_users > inst.n_files:
-        raise ValueError("all-distinct conditioning requires K <= N")
-    m, p = as_matrix(a), inst.popularity
-    demands = list(map(tuple, (file_sets(inst)[-1] + 1).tolist()))
-    weights = [math.prod(p[f - 1] for f in d) for d in demands]
-    total = math.fsum(weights)
+
+def _distinct_counts(inst: Instance, order: np.ndarray) -> np.ndarray:
+    """``_by_padded_file``'s counts given that the K requests are distinct, when
+    both schemes send every message.  A demand is then a K-set D in one of K!
+    equally likely user orders: P(D) = prod_D p / e_K(p), e_m the elementary
+    symmetric polynomials.  A file with j files of D after it in ``order`` heads
+    C(j, l) of D's (l+1)-subsets: p sum_j C(j, l) e_j(after) e_{K-1-j}(before) / e_K(p)."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity[order]
+    before, after = np.zeros((2, n + 1, k)) + np.eye(1, k)  # e_m(p[:i]), e_m(p[i:]), m < K
+    for i in range(n):
+        before[i + 1, 1:] = before[i, 1:] + p[i] * before[i, :-1]
+        after[n - 1 - i, 1:] = after[n - i, 1:] + p[n - 1 - i] * after[n - i, :-1]
+    total = p @ before[:n, k - 1]  # e_K(p), by the last file of each K-set; 0.0 if K > N
     if total == 0.0:
-        raise ValueError("all-distinct demands have zero probability")
-    return math.fsum(w * rate(d, m) for d, w in zip(demands, weights)) / total
+        raise ValueError("all-distinct demands need K <= N files of positive popularity")
+    pascal = np.array([[binom(j, l) for l in range(k + 1)] for j in range(k)], dtype=float)
+    return p[:, None] * ((after[1:] * before[:n, ::-1]) @ pascal) / total
 
 
 def conditional_expected_rate_distinct(inst: Instance, a: PlacementLike) -> float:
     """Expected rate_mccs given that all K requests are distinct."""
-    return conditional_expected_distinct(inst, a, rate_mccs)
+    return _padded_rate(inst, a, lambda order: _distinct_counts(inst, order))

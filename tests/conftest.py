@@ -6,11 +6,12 @@ next-less-popular file's row, spending part of that row's server share, so the
 partition, ordering, and nonnegativity constraints hold by construction.
 
 The oracles compute what the library computes by per-file passes the slow way:
-by listing the demand multiset classes or the requested-file sets, or, at
-uniform popularity, by the exact rate of Yu, Maddah-Ali and Avestimehr (IEEE
-Trans. Inf. Theory, 2018).  The grouping search's oracle lists its candidate
-family, deduplicated by placement, and picks from the list.  The simplex
-pivot's oracle updates every row of the tableau with one dense outer product.
+by listing the demand multiset classes, the requested-file sets or the
+all-distinct demands, or, at uniform popularity, by the exact rate of Yu,
+Maddah-Ali and Avestimehr (IEEE Trans. Inf. Theory, 2018).  The grouping
+search's oracle lists its candidate family, deduplicated by placement, and
+picks from the list.  The simplex pivot's oracle updates every row of the
+tableau with one dense outer product.
 """
 
 from __future__ import annotations
@@ -93,6 +94,16 @@ def full_epigraph_problem(inst: Instance) -> LpProblem:
     c = np.concatenate([np.zeros(n * (k + 1)),
                         [distinct_set_probability(inst, D) for D in dsets]])
     return placement_program(inst, c, (np.array(lhs), np.array(owner)))
+
+
+def enumerated_distinct_expectation(inst: Instance, a, rate) -> float:
+    """Expected ``rate(demand, a)`` given that all K requests are distinct, by
+    walking the C(N, K) file sets: each set is weighed by the product of its
+    popularities (its K! user orders are equally likely, and ``rate_mccs`` and
+    ``rlb_popfirst`` ignore order)."""
+    demands = list(itertools.combinations(range(1, inst.n_files + 1), inst.n_users))
+    weights = [math.prod(inst.popularity[f - 1] for f in d) for d in demands]
+    return math.fsum(w * rate(d, a) for d, w in zip(demands, weights)) / math.fsum(weights)
 
 
 def enumerated_p2_objective(inst: Instance) -> np.ndarray:

@@ -21,11 +21,12 @@ from cacheopt.delivery import (
     rate_mccs,
     rate_mccs_lemma3,
 )
-from cacheopt.bounds import conditional_expected_bound_distinct
+from cacheopt.bounds import conditional_expected_bound_distinct, rlb_popfirst
 from cacheopt.model import Instance, validate_placement
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
-from conftest import demand_classes, random_popularity, random_q_placement
+from conftest import (demand_classes, enumerated_distinct_expectation, random_popularity,
+                      random_q_placement)
 
 SEED = 20240801
 
@@ -159,6 +160,11 @@ def test_c06_all_distinct_conditional_equality():
         rhs = conditional_expected_bound_distinct(inst, rep.best.matrix)
         worst = max(worst, abs(lhs - rhs))
         assert lhs == pytest.approx(rhs, abs=1e-9)
+        # both sides run one kernel, so each is also checked by walking the sets
+        assert lhs == pytest.approx(
+            enumerated_distinct_expectation(inst, rep.best.matrix, rate_mccs), abs=1e-9)
+        assert rhs == pytest.approx(
+            enumerated_distinct_expectation(inst, rep.best.matrix, rlb_popfirst), abs=1e-9)
     _report(6, f"conditional delivery equals conditional bound (worst {worst:.2e})")
 
 

@@ -119,6 +119,16 @@ class TestClosedFormRates:
         with pytest.raises(ValueError, match="popularity-first"):
             avg_rate_ccs_closed(inst, bad)
 
+    @pytest.mark.parametrize("rate", [avg_rate_closed, avg_rate_ccs_closed,
+                                      lambda inst, a: expected_rate("mccs", inst, a)])
+    def test_placement_shape(self, rate):
+        # one row of a 3 x 3 placement would broadcast over every file
+        inst = Instance.from_zipf(3, 2, 1.0, 0.8)
+        with pytest.raises(ValueError, match="placement must be 3 x 3, got 1 x 3"):
+            rate(inst, [[0.2, 0.3, 0.2]])
+        with pytest.raises(ValueError, match="placement must be 3 x 3, got 3 x 2"):
+            rate(inst, np.tile([0.2, 0.3], (3, 1)))
+
     def test_uniform_popularity_symmetric_rows(self, rng):
         # with equal popularity and identical rows, both schemes agree with
         # direct enumeration and the correction only removes duplicate groups

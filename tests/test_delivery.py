@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cacheopt import delivery
 from cacheopt.bounds import (
+    conditional_expected_bound_distinct,
     distinct_set_probability,
     lower_bound_p1,
     rlb_general,
@@ -36,6 +37,7 @@ from cacheopt.optimizer import one_group_candidate
 from conftest import (
     demand_classes,
     enumerate_distinct_sets,
+    enumerated_distinct_expectation,
     enumerated_g,
     enumerated_message_weights,
     message_weight_dict,
@@ -193,6 +195,18 @@ class TestPerDemandRates:
                 assert _rate_with_leaders(d, a, tuple(sorted(choice))) == \
                     pytest.approx(reference, abs=1e-12)
 
+    @pytest.mark.parametrize("rate", [
+        rate_mccs, rate_ccs, rate_mccs_lemma3, lambda d, a: coded_message_size((1,), d, a),
+    ], ids=["rate_mccs", "rate_ccs", "rate_mccs_lemma3", "coded_message_size"])
+    @pytest.mark.parametrize("d", [(1,), (1, 2, 3), (1, 2, 3, 1)], ids=["K-1", "K+1", "K+2"])
+    def test_demand_length(self, rate, d):
+        # K = 2: a third request would pay column 2, which every user stores, and
+        # a fourth would index past the matrix
+        a = np.tile([0.2, 0.3, 0.2], (3, 1))
+        assert rate((1, 3), a) > 0.0
+        with pytest.raises(ValueError, match=f"demand has {len(d)} requests, the placement has 2 users"):
+            rate(d, a)
+
 
 class TestUserRelabeling:
     """Relabeling users permutes a demand's entries and changes no rate or bound."""
@@ -309,16 +323,20 @@ class TestExpectedRate:
             assert expected_rate(scheme, inst, a) == pytest.approx(raw, rel=1e-13, abs=1e-13)
 
     def test_reads_no_file_sets(self, monkeypatch):
-        # the file-set table is guarded; the rates need none of it
+        # the file-set table is guarded; the rates and the all-distinct
+        # expectations need none of it
         inst = Instance(5, 3, 0.0, [0.4, 0.25, 0.15, 0.12, 0.08])
         a = np.random.default_rng(3).random((5, 4))
-        want = [expected_rate(scheme, inst, a) for scheme in ("mccs", "ccs")]
+        calls = [lambda: expected_rate("mccs", inst, a), lambda: expected_rate("ccs", inst, a),
+                 lambda: conditional_expected_rate_distinct(inst, a),
+                 lambda: conditional_expected_bound_distinct(inst, -np.sort(-a, axis=0))]
+        want = [call() for call in calls]
 
         def refuse(_):
             raise AssertionError("file_sets called")
 
         monkeypatch.setattr(delivery, "file_sets", refuse)
-        assert [expected_rate(scheme, inst, a) for scheme in ("mccs", "ccs")] == want
+        assert [call() for call in calls] == want
 
     def test_one_pass_per_column_order(self, monkeypatch):
         inst = Instance(4, 3, 0.0, [0.4, 0.3, 0.2, 0.1])
@@ -362,12 +380,13 @@ class TestExpectedRate:
     def test_size_guard(self):
         inst = Instance(30, 8, 1.0, np.full(30, 1 / 30))
         server = np.tile([1.0] + [0.0] * 8, (30, 1))
-        # 12,440,544 (level, file set) keys: refused before anything is allocated
+        # 12,440,544 (level, file set) keys: P1 is refused before anything is
+        # allocated; the all-distinct expectation reads no file sets, and the K
+        # distinct requests each cost one server message
         start = time.perf_counter()
+        assert conditional_expected_rate_distinct(inst, server) == pytest.approx(8.0, rel=1e-14)
         with pytest.raises(SizeGuardError, match="keys"):
-            conditional_expected_rate_distinct(inst, server)
-        with pytest.raises(SizeGuardError, match="keys"):
-            lower_bound_p1(inst)  # its distinct sets come from the same guarded table
+            lower_bound_p1(inst)  # its distinct sets come from the guarded table
         assert time.perf_counter() - start < 1.0
         # the rates need no keys: the expected number of distinct requests
         assert expected_rate("mccs", inst, server) == pytest.approx(
@@ -492,10 +511,30 @@ class TestConditionalDistinct:
         assert sorted(per_pair) == [(1, 2), (1, 3), (2, 3)]
         assert len(set(round(v, 12) for v in per_pair.values())) == 1
 
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 7), k=st.integers(1, 5), zeros=st.integers(0, 6),
+           seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans())
+    def test_matches_set_walk(self, n, k, zeros, seed, ties):
+        # any nonnegative matrix for the rate, its columns sorted for the bound;
+        # ties on a three-value grid, and zero-popularity files up to N - K
+        k, rng = min(k, n), np.random.default_rng(seed)
+        p = random_popularity(n, rng)
+        p[n - min(zeros, n - k):] = 0.0
+        inst = Instance(n, k, 0.0, p / p.sum())
+        a = rng.random((n, k + 1))
+        a = np.round(a * 2) / 2 if ties else a * (rng.random((n, k + 1)) > 0.2)
+        ordered = -np.sort(-a, axis=0)
+        assert conditional_expected_rate_distinct(inst, a) == pytest.approx(
+            enumerated_distinct_expectation(inst, a, rate_mccs), rel=1e-14)
+        assert conditional_expected_bound_distinct(inst, ordered) == pytest.approx(
+            enumerated_distinct_expectation(inst, ordered, rlb_popfirst), rel=1e-14)
+
     def test_requires_enough_files(self):
-        inst = Instance(2, 3, 1.0, [0.7, 0.3])
-        with pytest.raises(ValueError, match="K <= N"):
-            conditional_expected_rate_distinct(inst, np.tile([1, 0, 0, 0.0], (2, 1)))
+        for call in (conditional_expected_rate_distinct, conditional_expected_bound_distinct):
+            with pytest.raises(ValueError, match="K <= N"):
+                call(Instance(2, 3, 1.0, [0.7, 0.3]), np.tile([1, 0, 0, 0.0], (2, 1)))
+            with pytest.raises(ValueError, match="K <= N files of positive popularity"):
+                call(Instance(3, 3, 1.0, [0.7, 0.3, 0.0]), np.tile([1, 0, 0, 0.0], (3, 1)))
 
 
 class TestRegionIdentities:
