@@ -60,6 +60,12 @@ def _distinct_rows(D: Sequence[int], n_files: int) -> np.ndarray:
     return file_rows(distinct_set(D), n_files)
 
 
+def _check_users(rows: np.ndarray, m: np.ndarray) -> None:
+    """Refuse a distinct set (its ``rows``) with more files than ``m`` has users."""
+    if len(rows) > m.shape[1] - 1:
+        raise ValueError(f"distinct set has {len(rows)} files, the placement has {m.shape[1] - 1} users")
+
+
 @lru_cache(maxsize=None)
 def _position_weights(n_users: int, size: int) -> np.ndarray:
     """w[i-1, l] = C(K-i, l) for positions i = 1..size and l = 0..K-1 (read-only)."""
@@ -115,6 +121,7 @@ def rlb_general(D: Sequence[int], a: PlacementLike) -> float:
     """Per-distinct-set bound: the best of all |D|! orderings of D."""
     m = as_matrix(a)
     rows = _distinct_rows(D, len(m))
+    _check_users(rows, m)
     if len(rows) > MAX_DISTINCT_SET:
         raise SizeGuardError(
             f"|D| = {len(rows)} exceeds the {MAX_DISTINCT_SET}-file guard of the best-ordering DP")
@@ -131,6 +138,7 @@ def rlb_popfirst(D: Sequence[int], a: PlacementLike) -> float:
     if not is_popularity_first(m):
         raise ValueError("rlb_popfirst requires a popularity-first placement")
     rows = _distinct_rows(D, len(m))
+    _check_users(rows, m)
     k = m.shape[1] - 1
     w = _position_weights(k, len(rows))
     return float(sum(w[i] @ m[r, :k] for i, r in enumerate(rows)))

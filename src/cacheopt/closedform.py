@@ -6,8 +6,10 @@ its most popular file's entry, so g[n, l] is the expected number of level-l
 messages whose most popular requested file is n: subsets meeting a leader for
 the redundancy-removing scheme, every subset for the baseline ``g_ccs``.  One
 backward pass of ``delivery``'s per-file step over the files in popularity
-order gives both in O(N K^4), with no list of demands.  Nothing is cached: to
-score many placements of one instance, compute g once.
+order gives both in O(N K^4) time and O(N K^2) memory, with no list of
+demands: one product per file, moved by two state maps, then one batched
+row-K join for all files.  Nothing is cached: to score many placements of
+one instance, compute g once.
 """
 
 from __future__ import annotations

@@ -16,14 +16,19 @@ bounds and P4's padded messages sum over requested-file sets, and
 ``file_sets`` lists them once: one array per set size, guarded on the
 (level, file set) keys that ``set_counts`` counts from (N, K) before anything
 is allocated.  Users request independently, so a demand's weight factors over
-files, and ``_join`` adds one file: c more users request it and b of those c
-join a message's user subset.  Forward over the files of each set it gives the
-distinct-set probabilities of ``bounds`` and P4's ``message_weights``; over
-all files, forward it gives P2's weights and backward, in a given order, the
-messages by the file they pad to (``_by_padded_file``): the exact expected
-rates and the coefficients of ``closedform``.  Given K distinct requests, two
-passes of elementary symmetric polynomials count the same messages with no
-table (``_distinct_counts``).  Only this module knows both layouts.
+files, and one file joins in two steps: c more users request it (``_placed``,
+an O(K^4) product), and a state map ``phi`` picks the b of those c that join
+a message's user subset (``_choices``).  Forward over the files of each set
+this gives the distinct-set probabilities of ``bounds`` and P4's
+``message_weights``; over all files, forward it gives P2's weights and
+backward, in a given order, the messages by the file they pad to
+(``_by_padded_file``): the exact expected rates and the coefficients of
+``closedform``.  Those two passes move each file's one product by two maps,
+into the subset or either way, and finish every file's count with one batched
+join of the remaining files that computes only row K (``_join_last``), in
+O(N K^4) time and O(N K^2) memory.  Given K distinct requests, two passes of
+elementary symmetric polynomials count the same messages with no table
+(``_distinct_counts``).  Only this module knows both layouts.
 """
 
 from __future__ import annotations
@@ -183,15 +188,35 @@ def _choices(k: int, fewest: int, most: int) -> np.ndarray:
     return phi
 
 
-def _join(ways: np.ndarray, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Add one file to ``ways[j, s, r]``, the weight of j users' demands over the
-    files so far in state s, per row r.  c more users request the file, in
-    C(j + c, c) p[r]^c ways, and ``phi`` moves the state.  Every term is
-    positive, so nothing cancels."""
+def _powers(p: np.ndarray, k: int) -> np.ndarray:
+    """[c, r] = p[r]^c for c = 0..K: a file's c requests, per row."""
+    return p ** np.arange(k + 1)[:, None]
+
+
+def _placed(ways: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``ways[j, s, r]`` weighs j users' demands over the files so far, in state
+    s, per row r.  One more file: c more users request it, in C(j + c, c)
+    p[r]^c ways (``powers[c, r]``, from ``_powers``), at [j + c, c * S + s, r].
+    ``phi @ _placed(ways, powers)`` adds the file; a pass that moves one
+    product by two maps computes it once.  Every term is positive, so
+    nothing cancels."""
     k, (states, rows) = ways.shape[0] - 1, ways.shape[1:]
     placed = (_placements(k) @ ways.reshape(k + 1, -1)).reshape(k + 1, k + 1, states, rows)
-    placed *= (p ** np.arange(k + 1)[:, None])[:, None, :]
-    return phi @ placed.reshape(k + 1, (k + 1) * states, rows)
+    placed *= powers[:, None, :]
+    return placed.reshape(k + 1, (k + 1) * states, rows)
+
+
+def _join_last(ways: np.ndarray, powers: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Row K of ``phi @ _placed(ways, powers)``, S' x rows, for a join read only
+    there: c requests join ways[K - c] alone.  It forms the whole join's
+    products and applies ``phi`` by the same matvec, so its bits are those of
+    the whole join's row K.  Leading axes of ``ways`` (..., K+1, S, rows) and
+    ``powers`` (..., K+1, rows) batch independent joins."""
+    *lead, j, states, rows = ways.shape
+    k = j - 1
+    placed = (_placements(k)[k * (k + 1):] @ ways.reshape(*lead, j, -1)).reshape(ways.shape)
+    placed *= powers[..., None, :]
+    return phi @ placed.reshape(*lead, j * states, rows)
 
 
 def set_counts(inst: Instance) -> list[tuple[int, int]]:
@@ -216,32 +241,35 @@ def file_sets(inst: Instance) -> list[np.ndarray]:
             for s, (sets, _) in enumerate(set_counts(inst), 1)]
 
 
-def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray,
+def _forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray | None,
              states: np.ndarray) -> np.ndarray:
     """``ways[K, states]`` of each row of zero-based ``files``, CHUNK rows at a
     time: the other files join by ``outside`` as one file of their total
-    popularity, then each file of the row joins by ``phi``.  Only the kept
-    ``states`` are written out."""
+    popularity (none of their requests if None), then each file of the row
+    joins by ``phi``, the last for row K alone.  Only the kept ``states`` are
+    written out."""
     n, k, p = inst.n_files, inst.n_users, inst.popularity
-    out = np.empty((len(files), len(states)))
+    powers, out = _powers(p, k), np.empty((len(files), len(states)))
     for start in range(0, len(files), CHUNK):
         rows = files[start:start + CHUNK]
-        rest = np.ones((len(rows), n), dtype=bool)
-        rest[np.arange(len(rows))[:, None], rows] = False
         ways = np.zeros((k + 1, len(phi), len(rows)))
         ways[0, 0] = 1.0
-        ways = _join(ways, rest @ p, outside)
-        for col in rows.T:
-            ways = _join(ways, p[col], phi)
-        out[start:start + CHUNK] = ways[k, states].T
+        if outside is not None:
+            rest = np.ones((len(rows), n), dtype=bool)
+            rest[np.arange(len(rows))[:, None], rows] = False
+            ways = outside @ _placed(ways, _powers(rest @ p, k))
+        for col in rows.T[:-1]:
+            ways = phi @ _placed(ways, powers[:, col])
+        out[start:start + CHUNK] = _join_last(ways, powers[:, rows[:, -1]], phi)[states].T
     return out
 
 
 def _set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
     """P(Unique(d) = D) for each row D of zero-based ``files``: no user requests
-    a file outside D and each file of D is requested, nothing picked."""
+    a file outside D (so no outside join) and each file of D is requested,
+    nothing picked."""
     c = np.arange(inst.n_users + 1)[None, :]
-    return _forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0, np.zeros(1, np.intp))[:, 0]
+    return _forward(inst, files, (c > 0) * 1.0, None, np.zeros(1, np.intp))[:, 0]
 
 
 def _by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,18 +277,23 @@ def _by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.n
     requested file in ``order`` is order[i], meeting a leader or any.
 
     One backward pass over ``order``: ``ways`` weighs the demands of the files
-    after order[i], any of them in the subset.  order[i] joins in the subset,
-    then the files before it join outside it as one file of their total popularity.
+    after order[i], any of them in the subset.  order[i] joins from one
+    product, in the subset and either way.  Then, for every i at once, the
+    files before order[i] join outside the subset as one file of their total
+    popularity, row K alone.
     """
     n, k, p = inst.n_files, inst.n_users, inst.popularity[order]
     head = np.concatenate([[0.0], np.cumsum(p)[:-1]])  # head[i] = sum_{i' < i} p
-    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    powers, states = _powers(p, k), 2 * k + 2
+    ways = np.zeros((k + 1, states, 1))
     ways[0, 0] = 1.0
-    counts = np.zeros((2, n, k + 1))
+    inside = np.empty((n, k + 1, states, 1))
     for f in range(n - 1, -1, -1):
-        top = _join(_join(ways, p[f:f + 1], _choices(k, 1, k)), head[f:f + 1], _choices(k, 0, 0))
-        counts[:, f, :k] = top[k, :, 0].reshape(2, k + 1)[:, 1:]
-        ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
+        placed = _placed(ways, powers[:, f:f + 1])
+        inside[f], ways = _choices(k, 1, k) @ placed, _choices(k, 0, k) @ placed
+    top = _join_last(inside, _powers(head, k).T[..., None], _choices(k, 0, 0))
+    counts = np.zeros((2, n, k + 1))
+    counts[..., :k] = top.reshape(n, 2, k + 1).transpose(1, 0, 2)[..., 1:]
     return counts[1], counts[1] + counts[0]  # flag 1: a leader is in the subset
 
 
@@ -268,18 +301,21 @@ def _by_rank(inst: Instance) -> np.ndarray:
     """P2's w[n, l] = sum_{D containing n} P(D) C(K - rank_D(n), l), the expected
     number of (l+1)-subsets of users holding n's leader but no leader of a more
     popular file.  Forward: ``ways`` weighs the files before n, no leader in the
-    subset; n joins with its leader in, then the files after n as one file."""
+    subset; n joins from one product, with its leader in or not.  Then, for
+    every n at once, the files after n join as one file, row K alone."""
     n, k, p = inst.n_files, inst.n_users, inst.popularity
     tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)  # tail[n] = sum_{n' > n} p
-    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    powers, states = _powers(p, k), 2 * k + 2
+    ways = np.zeros((k + 1, states, 1))
     ways[0, 0] = 1.0
-    w = np.zeros((n, k + 1))
+    held = np.empty((n, k + 1, states, 1))
     for f in range(n):
-        held = _join(ways, p[f:f + 1], _choices(k, 1, k))
-        held[:, :k + 1] = 0.0  # else a later file's leader turns a miss into a hit
-        w[f, :k] = _join(held, tail[f:f + 1], _choices(k, 0, k))[k, k + 2:, 0]
-        ways = _join(ways, p[f:f + 1], _choices(k, 0, k))
+        placed = _placed(ways, powers[:, f:f + 1])
+        held[f], ways = _choices(k, 1, k) @ placed, _choices(k, 0, k) @ placed
         ways[:, k + 1:] = 0.0
+    held[:, :, :k + 1] = 0.0  # else a later file's leader turns a miss into a hit
+    w = np.zeros((n, k + 1))
+    w[:, :k] = _join_last(held, _powers(tail, k).T[..., None], _choices(k, 0, k))[:, k + 2:, 0]
     return w
 
 
@@ -306,13 +342,15 @@ def _padded_rate(inst: Instance, a: PlacementLike, count) -> float:
     m, n, k = as_matrix(a), inst.n_files, inst.n_users
     if m.shape != (n, k + 1):
         raise ValueError(f"placement must be {n} x {k + 1}, got {m.shape[0]} x {m.shape[1]}")
-    counts, terms = {}, []
-    for l in range(k):
-        order = np.argsort(-m[:, l], kind="stable") if l else np.arange(n)
-        if order.tobytes() not in counts:
-            counts[order.tobytes()] = count(order)
-        terms.append(counts[order.tobytes()][:, l] * m[order, l])
-    return math.fsum(np.concatenate(terms).tolist())
+    orders = np.argsort(-m[:, :k], axis=0, kind="stable")  # one stable sort for every level
+    orders[:, 0] = np.arange(n)
+    counts, picked = {}, np.empty((n, k))
+    for l, order in enumerate(orders.T):
+        key = order.tobytes()
+        if key not in counts:
+            counts[key] = count(order)
+        picked[:, l] = counts[key][:, l]
+    return math.fsum((picked * m[orders, np.arange(k)]).ravel().tolist())
 
 
 def expected_rate(rate_fn: str, inst: Instance, a: PlacementLike) -> float:

@@ -8,7 +8,9 @@ partition, ordering, and nonnegativity constraints hold by construction.
 The oracles compute what the library computes by per-file passes the slow way:
 by listing the demand multiset classes, the requested-file sets or the
 all-distinct demands, or, at uniform popularity, by the exact rate of Yu,
-Maddah-Ali and Avestimehr (IEEE Trans. Inf. Theory, 2018).  The grouping
+Maddah-Ali and Avestimehr (IEEE Trans. Inf. Theory, 2018).  The per-file
+passes themselves have an unfused oracle: one whole join per state map, so
+three per file, that the fused passes must match bit for bit.  The grouping
 search's oracle lists its candidate family, deduplicated by placement, and
 picks from the list.  The simplex pivot's oracle updates every row of the
 tableau with one dense outer product.
@@ -28,7 +30,15 @@ import pytest
 
 from cacheopt.bounds import _position_weights, distinct_set_probability
 from cacheopt.closedform import rate_from_coefficients
-from cacheopt.delivery import _set_probabilities, file_sets, leader_group, message_weights
+from cacheopt.delivery import (
+    CHUNK,
+    _choices,
+    _placements,
+    _set_probabilities,
+    file_sets,
+    leader_group,
+    message_weights,
+)
 from cacheopt.lp import LpProblem, SizeGuardError
 from cacheopt.model import Instance, as_matrix, binom, cache_coefficients, placement_program
 from cacheopt.optimizer import GroupingCandidate, one_group_candidate, two_group_candidate
@@ -116,6 +126,79 @@ def enumerated_p2_objective(inst: Instance) -> np.ndarray:
         pw = _position_weights(inst.n_users, files.shape[1])
         np.add.at(w, (files, slice(inst.n_users)), prob[:, None, None] * pw)
     return w
+
+
+def unfused_join(ways: np.ndarray, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``delivery``'s per-file step, one whole join per state map: every row of
+    ``ways`` and the file's powers p^c recomputed each time."""
+    k, (states, rows) = ways.shape[0] - 1, ways.shape[1:]
+    placed = (_placements(k) @ ways.reshape(k + 1, -1)).reshape(k + 1, k + 1, states, rows)
+    placed *= (p ** np.arange(k + 1)[:, None])[:, None, :]
+    return phi @ placed.reshape(k + 1, (k + 1) * states, rows)
+
+
+def unfused_by_padded_file(inst: Instance, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``delivery._by_padded_file`` by three whole joins per file."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity[order]
+    head = np.concatenate([[0.0], np.cumsum(p)[:-1]])
+    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    ways[0, 0] = 1.0
+    counts = np.zeros((2, n, k + 1))
+    for f in range(n - 1, -1, -1):
+        inside = unfused_join(ways, p[f:f + 1], _choices(k, 1, k))
+        top = unfused_join(inside, head[f:f + 1], _choices(k, 0, 0))
+        counts[:, f, :k] = top[k, :, 0].reshape(2, k + 1)[:, 1:]
+        ways = unfused_join(ways, p[f:f + 1], _choices(k, 0, k))
+    return counts[1], counts[1] + counts[0]
+
+
+def unfused_by_rank(inst: Instance) -> np.ndarray:
+    """``delivery._by_rank`` (P2's weights) by three whole joins per file."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity
+    tail = np.append(np.cumsum(p[::-1])[::-1][1:], 0.0)
+    ways = np.zeros((k + 1, 2 * k + 2, 1))
+    ways[0, 0] = 1.0
+    w = np.zeros((n, k + 1))
+    for f in range(n):
+        held = unfused_join(ways, p[f:f + 1], _choices(k, 1, k))
+        held[:, :k + 1] = 0.0
+        w[f, :k] = unfused_join(held, tail[f:f + 1], _choices(k, 0, k))[k, k + 2:, 0]
+        ways = unfused_join(ways, p[f:f + 1], _choices(k, 0, k))
+        ways[:, k + 1:] = 0.0
+    return w
+
+
+def unfused_forward(inst: Instance, files: np.ndarray, phi: np.ndarray, outside: np.ndarray,
+                    states: np.ndarray) -> np.ndarray:
+    """``delivery._forward`` by whole joins, the other files' one included,
+    CHUNK rows at a time."""
+    n, k, p = inst.n_files, inst.n_users, inst.popularity
+    out = np.empty((len(files), len(states)))
+    for start in range(0, len(files), CHUNK):
+        rows = files[start:start + CHUNK]
+        rest = np.ones((len(rows), n), dtype=bool)
+        rest[np.arange(len(rows))[:, None], rows] = False
+        ways = np.zeros((k + 1, len(phi), len(rows)))
+        ways[0, 0] = 1.0
+        ways = unfused_join(ways, rest @ p, outside)
+        for col in rows.T:
+            ways = unfused_join(ways, p[col], phi)
+        out[start:start + CHUNK] = ways[k, states].T
+    return out
+
+
+def unfused_set_probabilities(inst: Instance, files: np.ndarray) -> np.ndarray:
+    """``delivery._set_probabilities``, the outside join admitting c = 0 only."""
+    c = np.arange(inst.n_users + 1)[None, :]
+    return unfused_forward(inst, files, (c > 0) * 1.0, (c == 0) * 1.0, np.zeros(1, np.intp))[:, 0]
+
+
+def unfused_message_weights(inst: Instance) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``delivery.message_weights`` by whole joins."""
+    k = inst.n_users
+    hits = np.arange(k + 2, 2 * k + 2)
+    return [(files, unfused_forward(inst, files, _choices(k, 1, k), _choices(k, 0, 0), hits))
+            for files in file_sets(inst)]
 
 
 def demand_class_table(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

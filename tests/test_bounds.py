@@ -73,6 +73,21 @@ class TestPerSetBound:
             D = tuple(sorted(rng.permutation(n)[:size] + 1))
             assert rlb_popfirst(D, a) == pytest.approx(rlb_general(D, a), abs=1e-12)
 
+    def test_set_larger_than_users(self):
+        # a distinct set has at most K files; a third file on a K = 2 placement
+        # was charged nothing (C(K - i, l) = 0 past position K), so (1, 2, 3)
+        # returned (1, 2)'s 0.7
+        a = np.tile([0.2, 0.3, 0.2], (3, 1))
+        for bound in (rlb_general, rlb_popfirst):
+            assert bound((1, 2), a) == pytest.approx(0.7, abs=1e-15)
+            with pytest.raises(ValueError, match="distinct set has 3 files, the placement has 2 users"):
+                bound((1, 2, 3), a)
+        # checked before the size guard: too many files for K is invalid, not too big
+        wide = np.zeros((12, 3))
+        wide[:, 0] = 1.0
+        with pytest.raises(ValueError, match="distinct set has 11 files, the placement has 2 users"):
+            rlb_general(tuple(range(1, 12)), wide)
+
     def test_popfirst_rejects_unordered(self):
         bad = np.array([[0.6, 0.1, 0.05], [0.2, 0.3, 0.1]])
         with pytest.raises(ValueError):
@@ -120,10 +135,49 @@ class TestPerSetBound:
         assert list(sets) == [0] and rate(orders[0]) == best
 
     def test_permutation_guard(self):
-        a = np.zeros((12, 3))
+        a = np.zeros((12, 13))  # K = 12 users, so 11 files is a valid set
         a[:, 0] = 1.0
         with pytest.raises(SizeGuardError):
             rlb_general(tuple(range(1, 12)), a)
+
+
+class TestTiePermutation:
+    """P1, P4 and P5 are symmetric in files of equal popularity and equal size:
+    relabelling such files changes neither the objective at a placement nor
+    the optimum, and by convexity the optimum averaged over each tie class is
+    optimal too (the reduction of ROADMAP item 12 rests on this)."""
+
+    @staticmethod
+    def p4_objective(inst, a):
+        return expected_rate("mccs", inst, a)  # P4's padded messages, attained
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(2, 6), k=st.integers(2, 4), sized=st.booleans(),
+           cache_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tied_files_permute(self, n, k, sized, cache_frac, seed):
+        rng = np.random.default_rng(seed)
+        p = np.sort(rng.integers(1, 4, size=n))[::-1] / 1.0  # runs of equal popularity
+        sizes = rng.choice([0.5, 1.0, 1.5], size=n) if sized else np.ones(n)
+        inst = Instance(n, k, cache_frac * sizes.sum(), p / p.sum(), sizes)
+        keys = list(zip(p.tolist(), sizes.tolist()))
+        ties = [np.flatnonzero([key == tie for key in keys]) for tie in dict.fromkeys(keys)]
+        relabel = np.arange(n)  # sizes swapped among equally popular files
+        for tie in (np.flatnonzero(p == q) for q in np.unique(p)):
+            relabel[tie] = rng.permutation(tie)
+        other = Instance(n, k, inst.cache_size, inst.popularity, sizes[relabel])
+        general = lower_bound_p5 if sized else lower_bound_p1
+        for solve, objective in ((general, rbar), (solve_p4_lp, self.p4_objective)):
+            opt = solve(inst)
+            a = opt.placement.matrix
+            shuffled, averaged = a.copy(), a.copy()
+            for tie in ties:
+                shuffled[tie] = a[rng.permutation(tie)]
+                averaged[tie] = a[tie].mean(axis=0)
+            value = objective(inst, a)
+            assert validate_placement(inst, shuffled) == validate_placement(inst, averaged) == []
+            assert objective(inst, shuffled) == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert opt.value - 1e-12 <= objective(inst, averaged) <= value + 1e-12
+            assert solve(other).value == pytest.approx(opt.value, rel=1e-12, abs=1e-12)
 
 
 class TestDistinctSetProbability:

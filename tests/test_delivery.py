@@ -44,6 +44,10 @@ from conftest import (
     random_popularity,
     random_q_instance,
     random_q_placement,
+    unfused_by_padded_file,
+    unfused_by_rank,
+    unfused_message_weights,
+    unfused_set_probabilities,
     yu_uniform_rate,
 )
 
@@ -477,6 +481,44 @@ class TestMessageWeights:
         weights = message_weight_dict(inst)
         assert list(weights) == list(enumerated_message_weights(inst, "mccs"))
         assert weights[(0, (3,))] == 0.0 and weights[(1, (2, 3))] == 0.0
+
+
+class TestFusedKernel:
+    """Each pass computes a file's product once for both state maps, and a join
+    read only at row K computes that row alone.  The unfused passes of
+    ``conftest`` (three whole joins per file) are the oracle, bit for bit."""
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 10), k=st.integers(1, 7), zeros=st.integers(0, 9),
+           ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bit_identical_to_unfused(self, n, k, zeros, ties, seed):
+        # zero-popularity tails, tied popularities and an arbitrary order
+        rng = np.random.default_rng(seed)
+        p = random_popularity(n, rng)
+        if ties:
+            p = np.sort(np.round(4 * p) + 1)[::-1]
+        p[n - min(zeros, n - 1):] = 0.0
+        inst = Instance(n, k, 0.0, p / p.sum())
+        order = rng.permutation(n)
+        for got, want in zip(delivery._by_padded_file(inst, order),
+                             unfused_by_padded_file(inst, order)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(delivery._by_rank(inst), unfused_by_rank(inst))
+        for (files, got), (_, want) in zip(message_weights(inst), unfused_message_weights(inst)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(delivery._set_probabilities(inst, files),
+                                  unfused_set_probabilities(inst, files))
+
+    def test_set_probabilities_pinned(self):
+        # the join of the other files admits none of their requests, an exact
+        # identity, so it is skipped; these are the bits it gave
+        inst = Instance(4, 3, 0.0, [0.4, 0.3, 0.2, 0.1])
+        got = [delivery._set_probabilities(inst, files).tolist() for files in delivery.file_sets(inst)]
+        assert got == [
+            [0.06400000000000002, 0.026999999999999996, 0.008000000000000002, 0.0010000000000000002],
+            [0.252, 0.14400000000000002, 0.060000000000000005, 0.09, 0.036000000000000004,
+             0.018000000000000002],
+            [0.144, 0.072, 0.048000000000000015, 0.036]]
 
 
 def all_distinct_classes(inst):

@@ -459,6 +459,28 @@ class TestStreamingSearch:
         assert self.fields(ccs) == self.fields(best_candidate(cands, coeffs.g_ccs))
         assert report.rate_ccs_opt == ccs.rate
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 9), k=st.integers(1, 5),
+           popularity=st.sampled_from(("zipf", "dirichlet", "tied")),
+           cache_frac=st.floats(0.0, 1.0), on_grid=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_streamed_candidate_is_feasible(self, n, k, popularity, cache_frac, on_grid,
+                                                  seed):
+        # the search scores each valid tuple as it is built, so each must be a
+        # placement the instance admits, not only the winner
+        rng = np.random.default_rng(seed)
+        if popularity == "zipf":
+            p = zipf_popularity(n, 0.8)
+        elif popularity == "dirichlet":
+            p = random_popularity(n, rng)
+        else:
+            p = np.sort(np.repeat(rng.dirichlet(np.ones((n + 1) // 2)), 2)[:n])[::-1]
+        m = round(cache_frac * n * k) / k if on_grid else cache_frac * n
+        inst = Instance(n, k, m, p / p.sum())
+        scored = [cand for cand in optimizer._candidates(inst) if cand is not None]
+        assert scored
+        for cand in scored:
+            assert validate_placement(inst, cand.matrix) == [], (cand.kind, cand.n_o, cand.n_1)
+
     def test_first_producer_keeps_label(self):
         # a later tuple rebuilds the winning placement with a smaller sort_key
         best = optimize_mccs(Instance.from_zipf(4, 2, 1.0, 0.8), with_bounds=False).best
