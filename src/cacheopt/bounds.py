@@ -12,12 +12,13 @@ sized before it is built (``model.check_placement_program``, the one LP size
 guard; it bounds memory, not time):
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
-  over orderings is linearized with one epigraph variable per distinct set and
-  one constraint per ordering, generated only while violated (a cutting-plane
-  loop from each set's popularity order).  The sets D and their
-  probabilities come from ``delivery.file_sets``; its key guard and the
-  first round's tableau are checked from (N, K) before the table is built,
-  and each later round is sized before its rows are built.
+  over orderings is linearized with one epigraph variable per distinct set of
+  positive probability and one constraint per ordering, generated only while
+  violated (a cutting-plane loop from each set's popularity order) and passed
+  to ``placement_program`` as one block of file indices per set size.  The
+  sets D and their probabilities come from ``delivery.file_sets``; its key
+  guard and the first round's tableau are checked from (N, K) before the
+  table is built, and each later round is sized before its rows are built.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed; its weights come from ``delivery._by_rank``.
@@ -156,40 +157,41 @@ def _generated_bound(inst: Instance) -> LpOptimum:
     set D.  Start from each D's popularity-order row; each round adds each D's
     best ordering at the last placement while it beats D's rows by more than
     PIVOT_TOL.  The loop ends at a relaxation whose optimum meets every row,
-    the full optimum.  Rows keep the table's order; iterations sums pivots.
+    the full optimum.  A set of probability 0 (it holds a file nobody
+    requests) has a t that costs nothing and bounds nothing, so it is left
+    out.  Per set size, the active rows are one sorted table
+    [set, file at position 1, ...], passed to ``placement_program`` as an
+    epigraph block; iterations sums pivots.
     """
     n, k, top = inst.n_files, inst.n_users, min(inst.n_files, inst.n_users)
     n_sets = sum(sets for sets, _ in set_counts(inst))
     check_placement_program(inst, n_sets, n_sets)  # round 1: each set's popularity order
-    table = [(files, _set_probabilities(inst, files)) for files in file_sets(inst)]
+    probs = [(files, _set_probabilities(inst, files)) for files in file_sets(inst)]
+    table = [(files[p > 0], p[p > 0]) for files, p in probs if p.any()]
     c = np.concatenate([np.zeros(n * (k + 1))] + [prob for _, prob in table])
     first = np.cumsum([0] + [len(files) for files, _ in table])  # first set of each size
-    w, radix = _position_weights(k, top), top ** top  # row key: set * radix + ordering digits
-    picks = [(np.arange(len(f)), np.tile(np.arange(f.shape[1]), (len(f), 1))) for f, _ in table]
-    blocks, pivots = [], 0
+    w = _position_weights(k, top)
+    active = [np.hstack([np.arange(len(files))[:, None], files]) for files, _ in table]
+    pivots = 0
     while True:
-        for (files, _), start, (sets, orders) in zip(table, first, picks):
-            at = np.take_along_axis(files[sets], orders, axis=1)  # file at position i + 1
-            rows = np.zeros((len(sets), n, k + 1))
-            rows[np.arange(len(sets))[:, None], at, :k] = w[:files.shape[1]]
-            key = (start + sets) * radix + orders @ top ** np.arange(files.shape[1])[::-1]
-            blocks.append((rows.reshape(-1, n * (k + 1)), key))
-        lhs, key = (np.concatenate(part) for part in zip(*blocks))
-        unique, index = np.unique(key, return_index=True)
-        if len(unique) < len(key):
-            raise RuntimeError("a violated set's best ordering is already active; this is a bug")
-        lhs, owner = lhs[index], unique // radix
-        opt = solve_placement(placement_program(inst, c, (lhs, owner)), inst)
+        epigraph = [(start + rows[:, 0], rows[:, 1:], w[:rows.shape[1] - 1])
+                    for rows, start in zip(active, first)]
+        opt = solve_placement(placement_program(inst, c, epigraph), inst)
         pivots += opt.iterations
         x = opt.placement.matrix
-        beaten = np.full(n_sets, -np.inf)
-        np.maximum.at(beaten, owner, lhs @ x.ravel())
-        picks = [_best_orderings(np.moveaxis(x[files, :k] @ w[:files.shape[1]].T, 0, -1),
-                                 beaten[start:start + len(files)])[1:]
-                 for (files, _), start in zip(table, first)]
-        if not any(len(sets) for sets, _ in picks):
+        new = []
+        for (files, _), rows in zip(table, active):
+            weights, beaten = w[:files.shape[1]], np.full(len(files), -np.inf)
+            np.maximum.at(beaten, rows[:, 0], (x[rows[:, 1:], :k] * weights).sum(axis=(1, 2)))
+            _, sets, orders = _best_orderings(np.moveaxis(x[files, :k] @ weights.T, 0, -1), beaten)
+            new.append(np.hstack([sets[:, None], np.take_along_axis(files[sets], orders, axis=1)]))
+        if not any(len(rows) for rows in new):
             return replace(opt, iterations=pivots)
-        check_placement_program(inst, n_sets, len(owner) + sum(len(sets) for sets, _ in picks))
+        n_rows = sum(map(len, active + new))
+        check_placement_program(inst, first[-1], n_rows)
+        active = [np.unique(np.vstack(pair), axis=0) for pair in zip(active, new)]
+        if sum(map(len, active)) < n_rows:
+            raise RuntimeError("a violated set's best ordering is already active; this is a bug")
 
 
 def _require_uniform(inst: Instance, which: str):

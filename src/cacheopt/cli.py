@@ -5,8 +5,8 @@ inputs produce byte-identical files.  A sweep solves its points one at a time,
 in grid order, in the calling process; each row depends only on its own point,
 so to use several cores, split the grid across ``cacheopt sweep`` processes and
 concatenate their rows.  Errors exit nonzero with a one-line reason on stderr,
-using code 2 for malformed input and 3 for size-guard violations and running
-out of memory.
+using code 2 for malformed input, 3 for size-guard violations and running out
+of memory, and 1 for a solver failure.
 """
 
 from __future__ import annotations
@@ -341,6 +341,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a solver failure, after the size guards above
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -247,20 +247,22 @@ def cache_coefficients(n_users: int) -> np.ndarray:
 
 
 def placement_program(inst: Instance, objective: np.ndarray,
-                      epigraph: tuple[np.ndarray, np.ndarray] | None = None,
+                      epigraph: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] = (),
                       *, exact_cache: bool = False, ordered: bool = False) -> LpProblem:
     """The placement polytope as an LP over x = [a (row by row) | t].
 
     Rows come in a fixed order: one partition equality per file with its size
     on the right, the per-user cache row (an equality when ``exact_cache``),
     the popularity-first chain a_{n+1,l} - a_{n,l} <= 0 for l >= 1 when
-    ``ordered``, then the epigraph rows.  ``epigraph = (lhs, owner)`` gives
-    one row lhs[r] @ a - t[owner[r]] <= 0 per r; the objective covers a and t.
+    ``ordered``, then the epigraph rows, block by block.  A block
+    ``(owner, files, weights)`` gives, for each r, the row
+    sum_i weights[i] @ a[files[r, i], :K] - t[owner[r]] <= 0, where ``files``
+    holds zero-based files, distinct within a row, and ``weights[i]`` is the
+    K-vector over levels of position i.  The objective covers a and t.
     """
     n, k = inst.n_files, inst.n_users
     n_a = n * (k + 1)
     n_vars = objective.shape[0]
-    epi_lhs, owner = epigraph if epigraph is not None else (np.zeros((0, n_a)), np.zeros(0, int))
     part = np.zeros((n, n_vars))
     part[:, :n_a] = np.kron(np.eye(n), partition_coefficients(k))
     cache = np.zeros(n_vars)
@@ -268,7 +270,7 @@ def placement_program(inst: Instance, objective: np.ndarray,
     first = 0 if exact_cache else 1
     n_chain = (n - 1) * k if ordered else 0
     # one allocation for the <= rows: the epigraph block dominates memory
-    ub = np.zeros((first + n_chain + owner.shape[0], n_vars))
+    ub = np.zeros((first + n_chain + sum(len(owner) for owner, _, _ in epigraph), n_vars))
     ub_rhs = np.zeros(ub.shape[0])
     if exact_cache:
         eq, eq_rhs = np.vstack([part, cache]), np.append(inst.file_sizes, inst.cache_size)
@@ -280,8 +282,11 @@ def placement_program(inst: Instance, objective: np.ndarray,
     ub[first + r, col] = -1.0
     ub[first + r, col + k + 1] = 1.0
     top = first + n_chain
-    ub[top:, :n_a] = epi_lhs
-    ub[top + np.arange(owner.shape[0]), n_a + owner] = -1.0
+    for owner, files, weights in epigraph:
+        rows = top + np.arange(len(owner))
+        ub[rows[:, None, None], files[..., None] * (k + 1) + np.arange(k)] = weights
+        ub[rows, n_a + owner] = -1.0
+        top += len(owner)
     return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
 
 

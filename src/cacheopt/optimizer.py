@@ -19,9 +19,9 @@ prefix split between the server and one cache level), where the optimum can
 sit under strongly skewed popularity, and the search matches the LP on the
 reference instances and on randomized grids.  ``solve_p4_lp`` drops the
 ordering restriction and handles nonuniform file sizes through an epigraph LP
-with one variable per (message level, requested-file set), counted from (N, K)
-by ``delivery.set_counts`` and sized by ``model.check_placement_program``
-before its weights are computed.
+with one variable per (message level, requested-file set) of positive weight,
+sized from the (N, K) counts of ``delivery.set_counts`` by
+``model.check_placement_program`` before its weights are computed.
 """
 
 from __future__ import annotations
@@ -264,17 +264,22 @@ def solve_p4_lp(inst: Instance) -> LpOptimum:
     One epigraph variable per (message level, requested-file set) key of
     ``message_weights``, by level and then by set size, bounds the padded
     message size, with one row per file in the set; its objective weight is
-    the key's expected message count.
+    the key's expected message count.  Each (level l, set size) is one
+    epigraph block of ``placement_program``: the key ids repeated once per
+    file, the files as a column and the unit weight e_l.  A key of weight 0
+    (its set holds a file nobody requests) costs nothing and bounds nothing,
+    so it is left out.
     """
     n, k = inst.n_files, inst.n_users
     keys = [key for _, key in set_counts(inst)]  # per set size s
     check_placement_program(inst, sum(keys), sum(s * c for s, c in enumerate(keys, 1)))
-    weights = message_weights(inst)
-    cols, counts = zip(*[(files * (k + 1) + l, w[:, l]) for l in range(k)
-                         for files, w in weights if files.shape[1] <= l + 1])
-    n_a, width = n * (k + 1), np.concatenate([np.full(len(b), b.shape[1]) for b in cols])
-    owner, col = np.repeat(np.arange(len(width)), width), np.concatenate([b.ravel() for b in cols])
-    lhs = np.zeros((len(col), n_a))
-    lhs[np.arange(len(col)), col] = 1.0
-    c = np.concatenate([np.zeros(n_a), *counts])
-    return solve_placement(placement_program(inst, c, (lhs, owner)), inst)
+    weights, epigraph, counts, n_keys = message_weights(inst), [], [], 0
+    for l in range(k):
+        for files, w in weights[:l + 1]:  # set sizes s <= l + 1
+            keep = w[:, l] > 0  # a key of weight 0 costs nothing and bounds nothing
+            owner = n_keys + np.repeat(np.arange(keep.sum()), files.shape[1])
+            epigraph.append((owner, files[keep].reshape(-1, 1), np.eye(1, k, l)))
+            counts.append(w[keep, l])
+            n_keys += len(counts[-1])
+    c = np.concatenate([np.zeros(n * (k + 1)), *counts])
+    return solve_placement(placement_program(inst, c, epigraph), inst)

@@ -89,21 +89,20 @@ def full_epigraph_problem(inst: Instance) -> LpProblem:
     """The whole P1/P5 epigraph LP: t_D >= the rate of every ordering of every D.
 
     Rows are grouped by D (by size, then lexicographically), with D's
-    orderings in lexicographic order; P1/P5 generate a subset of these rows.
+    orderings in lexicographic order, one epigraph block per set size;
+    P1/P5 generate a subset of these rows.
     """
-    n, k = inst.n_files, inst.n_users
-    dsets = list(enumerate_distinct_sets(inst))
-    lhs, owner = [], []
-    for j, D in enumerate(dsets):
-        for ordering in itertools.permutations(D):
-            row = np.zeros((n, k + 1))
-            for i, f in enumerate(ordering):
-                row[f - 1, :k] = [binom(k - 1 - i, l) for l in range(k)]
-            lhs.append(row.ravel())
-            owner.append(j)
-    c = np.concatenate([np.zeros(n * (k + 1)),
-                        [distinct_set_probability(inst, D) for D in dsets]])
-    return placement_program(inst, c, (np.array(lhs), np.array(owner)))
+    k = inst.n_users
+    blocks, costs = [], []
+    for files in file_sets(inst):
+        s = files.shape[1]
+        orderings = [ordering for D in files.tolist() for ordering in itertools.permutations(D)]
+        owner = len(costs) + np.repeat(np.arange(len(files)), math.factorial(s))
+        weights = np.array([[binom(k - 1 - i, l) for l in range(k)] for i in range(s)], dtype=float)
+        blocks.append((owner, np.array(orderings), weights))
+        costs += [distinct_set_probability(inst, D) for D in (files + 1).tolist()]
+    c = np.concatenate([np.zeros(inst.n_files * (k + 1)), costs])
+    return placement_program(inst, c, blocks)
 
 
 def enumerated_distinct_expectation(inst: Instance, a, rate) -> float:

@@ -287,10 +287,12 @@ class TestRowGeneration:
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(2, 7), k=st.integers(2, 4), cache_frac=st.floats(0.0, 1.0),
-           sized=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_equals_full_epigraph(self, n, k, cache_frac, sized, seed):
+           sized=st.booleans(), zeros=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_full_epigraph(self, n, k, cache_frac, sized, zeros, seed):
+        # the oracle keeps the sets nobody requests that P1/P5 leave out
         rng = np.random.default_rng(seed)
         p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        p[n - min(zeros, n - 1):] = 0.0  # files nobody requests
         sizes = rng.uniform(0.5, 2.0, n) if sized else np.ones(n)
         inst = Instance(n, k, cache_frac * sizes.sum(), p / p.sum(), sizes)
         res = (lower_bound_p5 if sized else lower_bound_p1)(inst)
@@ -323,6 +325,57 @@ class TestRowGeneration:
         lower_bound_p1(inst)
         assert n_orderings == 3609
         assert max(heights) < 0.25 * n_orderings
+
+
+def zero_tailed(sized: bool) -> Instance:
+    """Zipf 0.8 over 8 files with files 7 and 8 never requested, K = 5, M = N/3;
+    sized 0.5..1.5 when ``sized``."""
+    p = np.arange(1, 9) ** -0.8
+    p[6:] = 0.0
+    sizes = np.linspace(0.5, 1.5, 8) if sized else np.ones(8)
+    return Instance(8, 5, 8 / 3, p / p.sum(), sizes)
+
+
+class TestFilesNobodyRequests:
+    """A set holding a file of popularity 0 has P(D) = 0, and a P4 key of such
+    a set has weight 0: their epigraph variables cost nothing and bound
+    nothing, so the programs leave them out."""
+
+    @pytest.mark.parametrize("solver, sized, value", [
+        (lower_bound_p5, True, 0.6459010573123369),
+        (lower_bound_p1, False, 0.8734455560943051),
+    ], ids=["p5", "p1"])
+    def test_solves_without_degenerate_columns(self, monkeypatch, solver, sized, value):
+        # with every set's t, P5 ran out of 500,000 pivots and P1 took 22,630;
+        # the values are HiGHS's on the whole epigraph LP
+        monkeypatch.setattr(lp, "MAX_ITERATIONS", 5000)
+        assert solver(zero_tailed(sized)).value == pytest.approx(value, abs=1e-12)
+
+    def test_every_epigraph_column_costs(self, monkeypatch):
+        solves = []
+        direct = lp.solve_via_dual
+
+        def checked(problem):
+            assert np.all(problem.objective[8 * 6:] > 0)  # past the 8 x 6 placement
+            solves.append(problem)
+            return direct(problem)
+
+        monkeypatch.setattr(lp, "solve_via_dual", checked)
+        for solver, sized in ((lower_bound_p1, False), (lower_bound_p5, True),
+                              (solve_p4_lp, False), (solve_p4_lp, True)):
+            solver(zero_tailed(sized))
+        assert len(solves) >= 4
+
+    def test_whole_set_sizes_empty_out(self):
+        # only file 1 is ever requested: no pair of files is a distinct set
+        inst = Instance(3, 2, 0.5, [1.0, 0.0, 0.0])
+        p1 = lower_bound_p1(inst)
+        assert p1.value == pytest.approx(solve_via_dual(full_epigraph_problem(inst)).value,
+                                         abs=1e-12)
+        assert p1.value == pytest.approx(0.5, abs=1e-12)
+        assert solve_p4_lp(inst).value == pytest.approx(0.5, abs=1e-12)
+        sized = Instance(3, 2, 0.5, [1.0, 0.0, 0.0], [2.0, 1.0, 0.5])
+        assert lower_bound_p5(sized).value == pytest.approx(solve_p4_lp(sized).value, abs=1e-12)
 
 
 class TestOrderedBound:

@@ -162,6 +162,19 @@ class TestOptimizeCommand:
 
 
 class TestBoundCommand:
+    def test_solver_failure_exit_1(self, capsys, monkeypatch):
+        # P2 at (50,10) returns an infeasible placement: a one-line reason, no traceback
+        reason = ("placement program returned an infeasible placement "
+                  "(nonnegative: a[2,8] = -4.47035e-08 < 0); this is a bug")
+
+        def failed(inst):
+            raise RuntimeError(reason)
+
+        monkeypatch.setattr(bounds, "lower_bound_p2", failed)
+        code, out, err = run_cli(capsys, "bound", "--which", "p2", "--files", "50", "--users", "10",
+                                 "--cache", "10", "--zipf", "0.8")
+        assert (code, out, err) == (1, "", f"error: {reason}\n")
+
     def test_emits_which_value_placement(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--files", "4", "--users", "2",
                                "--cache", "1.5", "--zipf", "1.0", "--which", "p2")

@@ -1,4 +1,4 @@
-"""Print the demand-class kernel's values on a fixed grid, one line per value.
+"""Print cacheopt's values on a fixed grid, one line per value.
 
     python tools/parity.py --src path/to/tree/src > values.txt
 
@@ -6,15 +6,19 @@
 parent checked out with ``git worktree add``) print comparable outputs, and
 ``diff`` lists every value that changed with both reprs.  A line reads
 
-    <instance> <quantity> <repr of the value> <SHA-256 of the placement bytes, or ->
+    <instance> <quantity> <repr of the value> <SHA-256 of the placement bytes, or -> [<pivots>]
 
 Quantities: the rate coefficients ``g`` and ``g_ccs`` and P2's weights
 ``p2``, per entry [file, level]; ``expected_rate`` for both schemes and the
 all-distinct conditional rate on a popularity-first and an arbitrary
-placement; and, where the file-set table is small, the distinct-set
-probabilities and P4's message weights per file set (1-based) and level.
-The grid is defined here, once, and always printed whole (about 0.4 s).
-No timings are taken.
+placement; where the file-set table is small, the distinct-set
+probabilities and P4's message weights per file set (1-based) and level;
+and where it is smaller still, the optimal placement of each program at
+M = N/3: P1 to P4 (``lower_bound_p1``, ``lower_bound_p2``, ``solve_p3_lp``,
+``solve_p4_lp``), P5 (``lower_bound_p5``) with sizes 0.5..1.5, and the
+grouping search (``optimize_mccs`` without bounds).  An LP's line ends with
+its simplex pivot count.  The grid is defined here, once, and always printed
+whole (about 1.2 s).  No timings are taken.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ GRID = [
     (12, 4, "zipf"), (10, 2, "random"),
 ]
 TABLE_KEYS = 2000  # file-set quantities only up to this many (level, file set) keys
+SOLVE_KEYS = 300  # placement programs and the search only up to this many
 
 
 def popularity(n: int, k: int, kind: str) -> np.ndarray:
@@ -62,9 +67,24 @@ def sha(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
 
+def solves(lib, inst, label: str):
+    """The lines of each program's optimum and of the search's best placement at ``inst``."""
+    model, bounds, optimizer = lib[2:]
+    n = inst.n_files
+    sized = model.Instance(n, inst.n_users, n / 3, inst.popularity, np.linspace(0.5, 1.5, n))
+    for solve, case in ((bounds.lower_bound_p1, inst), (bounds.lower_bound_p2, inst),
+                        (optimizer.solve_p3_lp, inst), (optimizer.solve_p4_lp, inst),
+                        (bounds.lower_bound_p5, sized)):
+        opt = solve(case)
+        yield (f"{label} {solve.__name__} {opt.value!r} {sha(opt.placement.matrix)} "
+               f"{opt.iterations}")
+    best = optimizer.optimize_mccs(inst, with_bounds=False).best
+    yield f"{label} optimize_mccs {best.rate!r} {sha(best.matrix)}"
+
+
 def lines(lib, n: int, k: int, kind: str):
     """The grid point's lines, in a fixed order."""
-    delivery, closedform, model = lib
+    delivery, closedform, model, *_ = lib
     inst = model.Instance(n, k, 0.0, popularity(n, k, kind))
     label = f"{n}x{k}:{kind}"
     coef = closedform.g_coefficients(inst)
@@ -78,7 +98,8 @@ def lines(lib, n: int, k: int, kind: str):
         if distinct:
             value = delivery.conditional_expected_rate_distinct(inst, a)
             yield f"{label} conditional_rate_distinct@{form} {value!r} {sha(a)}"
-    if sum(keys for _, keys in delivery.set_counts(inst)) > TABLE_KEYS:
+    keys = sum(keys for _, keys in delivery.set_counts(inst))
+    if keys > TABLE_KEYS:
         return
     for files, weights in delivery.message_weights(inst):
         probabilities = delivery._set_probabilities(inst, files)
@@ -87,6 +108,8 @@ def lines(lib, n: int, k: int, kind: str):
             yield f"{label} set_probability({key}) {prob!r} -"
             for l, value in enumerate(w):
                 yield f"{label} message_weight[{l}]({key}) {value!r} -"
+    if keys <= SOLVE_KEYS:
+        yield from solves(lib, model.Instance(n, k, n / 3, inst.popularity), label)
 
 
 def main(argv=None) -> int:
@@ -95,7 +118,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
-    lib = tuple(importlib.import_module(f"cacheopt.{name}") for name in ("delivery", "closedform", "model"))
+    lib = tuple(importlib.import_module(f"cacheopt.{name}")
+                for name in ("delivery", "closedform", "model", "bounds", "optimizer"))
     if not Path(lib[0].__file__).resolve().is_relative_to(src):
         parser.error(f"cacheopt was imported from {lib[0].__file__}, not from {src}")
     for point in GRID:
