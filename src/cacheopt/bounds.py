@@ -189,8 +189,9 @@ def _generated_bound(inst: Instance) -> LpOptimum:
             return replace(opt, iterations=pivots)
         n_rows = sum(map(len, active + new))
         check_placement_program(inst, first[-1], n_rows)
-        active = [np.unique(np.vstack(pair), axis=0) for pair in zip(active, new)]
-        if sum(map(len, active)) < n_rows:
+        # lexsort, not np.unique(axis=0), which imports numpy.ma on first use
+        active = [rows[np.lexsort(rows.T[::-1])] for rows in map(np.vstack, zip(active, new))]
+        if any((rows[1:] == rows[:-1]).all(axis=1).any() for rows in active):
             raise RuntimeError("a violated set's best ordering is already active; this is a bug")
 
 
