@@ -7,9 +7,9 @@ sum_{l<K} sum_i C(K-i,l) a_{pi(i),l}, and the bound takes the best ordering,
 found by a subset DP in |D| 2^(|D|-1) steps without listing the |D|!
 orderings.  Averaging over D with the exact distinct-set probabilities and
 minimizing over feasible placements gives three LPs, each returning the
-``model.LpOptimum`` of ``solve_placement``.  Each program's simplex tableau is
-sized before it is built (``model.check_placement_program``, the one LP size
-guard; it bounds memory, not time):
+``model.LpOptimum`` of ``solve_placement`` (the explicit dual).  Each tableau
+is sized before its program is built (``model.check_placement_program``, the
+one LP size guard, called by ``placement_program``; it bounds memory, not time):
 
 * ``lower_bound_p1`` -- any uncoded placement of unit-size files; the max
   over orderings is linearized with one epigraph variable per distinct set of
@@ -18,7 +18,7 @@ guard; it bounds memory, not time):
   to ``placement_program`` as one block of file indices per set size.  The
   sets D and their probabilities come from ``delivery.file_sets``; its key
   guard and the first round's tableau are checked from (N, K) before the
-  table is built, and each later round is sized before its rows are built.
+  table is built.
 * ``lower_bound_p2`` -- placements of unit-size files restricted to
   popularity-first order, where the best ordering is popularity order and no
   epigraph is needed; its weights come from ``delivery._by_rank``.
@@ -187,8 +187,6 @@ def _generated_bound(inst: Instance) -> LpOptimum:
             new.append(np.hstack([sets[:, None], np.take_along_axis(files[sets], orders, axis=1)]))
         if not any(len(rows) for rows in new):
             return replace(opt, iterations=pivots)
-        n_rows = sum(map(len, active + new))
-        check_placement_program(inst, first[-1], n_rows)
         # lexsort, not np.unique(axis=0), which imports numpy.ma on first use
         active = [rows[np.lexsort(rows.T[::-1])] for rows in map(np.vstack, zip(active, new))]
         if any((rows[1:] == rows[:-1]).all(axis=1).any() for rows in active):
@@ -214,7 +212,6 @@ def lower_bound_p5(inst: Instance) -> LpOptimum:
 def lower_bound_p2(inst: Instance) -> LpOptimum:
     """Lower bound restricted to popularity-first placements (plain LP)."""
     _require_uniform(inst, "P2")
-    check_placement_program(inst, ordered=True)
     return solve_placement(placement_program(inst, _by_rank(inst).ravel(), ordered=True), inst)
 
 

@@ -2,17 +2,17 @@
 
 Small, deterministic, dependency-free (numpy only).  The placement programs
 have a few hundred columns; the general bound's epigraph has one row per
-generated ordering (about 800 of the 13k orderings at N=12, K=4), so tall
-programs are solved through their explicit dual (``solve_via_dual``), whose
-final reduced costs at its slack columns are the primal point.  The programs
-are often heavily degenerate (many symmetric files produce identical
-coefficients) and must solve bit-reproducibly, so a dense tableau simplex
-with a fixed pivot rule is the right tool.  The standard-form tableau is
-built in one allocation and pivoted in place: a pivot updates only the rows
-its column touches, a block of rows at a time, and makes no tableau-sized
-temporary.  ``_check_tableau`` sizes the tableau from a program's
-dimensions (the dual's, for ``solve_via_dual``), so callers refuse a program
-past MAX_TABLEAU_BYTES before building it.
+generated ordering (about 800 of the 13k orderings at N=12, K=4).  They are
+solved through their explicit dual (``solve_via_dual``), whose final reduced
+costs at its slack columns are the primal point, checked before it is
+returned.  The programs are often heavily degenerate (many symmetric files
+produce identical coefficients) and must solve bit-reproducibly, so a dense
+tableau simplex with a fixed pivot rule is the right tool.  The standard-form
+tableau is built in one allocation and pivoted in place: a pivot updates only
+the rows its column touches, a block of rows at a time, and makes no
+tableau-sized temporary.  ``_check_tableau`` sizes the dual's tableau from a
+program's dimensions, so callers refuse a program past MAX_TABLEAU_BYTES
+before building it.
 Dantzig pricing is used until a degeneracy stall is detected, after which
 Bland's rule guarantees termination.  Row prices are read off the final
 reduced costs of the slack and artificial columns; no second linear solve.
@@ -36,10 +36,10 @@ class SizeGuardError(RuntimeError):
 
 
 def _check_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
-    """Raise SizeGuardError before ``solve`` of a program with right-hand sides
-    >= 0 would pivot more than MAX_TABLEAU_BYTES: a row per constraint, a column
-    per variable, slack and equality (its artificial) and the right-hand side."""
-    rows, cols = n_eq + n_ub, n_vars + n_ub + n_eq + 1
+    """Raise SizeGuardError before ``solve_via_dual`` of a program with objective
+    >= 0 would pivot more than MAX_TABLEAU_BYTES: the dual has a row per primal
+    variable, a column per dual variable (two per equality), slack and the rhs."""
+    rows, cols = n_vars, 2 * n_eq + n_ub + n_vars + 1
     if rows * cols * 8 > MAX_TABLEAU_BYTES:
         raise SizeGuardError(f"a {rows} x {cols} simplex tableau ({rows * cols * 8 / 2 ** 20:.0f} MiB) "
                              f"exceeds the {MAX_TABLEAU_BYTES >> 20} MiB tableau guard")
@@ -267,12 +267,12 @@ def solve(problem: LpProblem) -> LpSolution:
 
 
 def solve_via_dual(problem: LpProblem) -> LpSolution:
-    """Solve by pivoting on the explicit dual; intended for tall problems.
+    """Solve by pivoting on the explicit dual, with the primal point checked.
 
-    The epigraph bound programs have far more rows than columns, which makes
-    the primal tableau needlessly large.  The dual has one row per primal
-    variable, and the primal optimum x is minus its ``<=`` row prices: the
-    dual's final reduced costs at its slack columns.  A recovered point that
+    The dual has one row per primal variable, so the epigraph bound programs,
+    with far more rows than columns, pivot a much smaller tableau than their
+    primal.  The primal optimum x is minus the dual's ``<=`` row prices: its
+    final reduced costs at its slack columns.  A recovered point that
     fails the feasibility or objective check raises RuntimeError with its
     residual; there is no fallback to the slower direct solve.
     """

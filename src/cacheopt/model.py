@@ -261,8 +261,9 @@ def placement_program(inst: Instance, objective: np.ndarray,
     K-vector over levels of position i.  The objective covers a and t.
     """
     n, k = inst.n_files, inst.n_users
-    n_a = n * (k + 1)
-    n_vars = objective.shape[0]
+    n_a, n_vars = n * (k + 1), objective.shape[0]
+    n_rows = sum(len(owner) for owner, _, _ in epigraph)
+    check_placement_program(inst, n_vars - n_a, n_rows, exact_cache=exact_cache, ordered=ordered)
     part = np.zeros((n, n_vars))
     part[:, :n_a] = np.kron(np.eye(n), partition_coefficients(k))
     cache = np.zeros(n_vars)
@@ -270,7 +271,7 @@ def placement_program(inst: Instance, objective: np.ndarray,
     first = 0 if exact_cache else 1
     n_chain = (n - 1) * k if ordered else 0
     # one allocation for the <= rows: the epigraph block dominates memory
-    ub = np.zeros((first + n_chain + sum(len(owner) for owner, _, _ in epigraph), n_vars))
+    ub = np.zeros((first + n_chain + n_rows, n_vars))
     ub_rhs = np.zeros(ub.shape[0])
     if exact_cache:
         eq, eq_rhs = np.vstack([part, cache]), np.append(inst.file_sizes, inst.cache_size)
@@ -290,15 +291,14 @@ def placement_program(inst: Instance, objective: np.ndarray,
     return LpProblem(objective=objective, eq_lhs=eq, eq_rhs=eq_rhs, ub_lhs=ub, ub_rhs=ub_rhs)
 
 
-def check_placement_program(inst: Instance, n_t: int = 0, n_rows: int = 0, *,
+def check_placement_program(inst: Instance, n_t: int, n_rows: int, *,
                             exact_cache: bool = False, ordered: bool = False) -> None:
     """Raise SizeGuardError before a ``placement_program`` with n_t epigraph
-    variables and n_rows epigraph rows is built, sizing the tableau its solve
-    pivots: of the explicit dual with epigraph variables, else of the program."""
+    variables and n_rows epigraph rows is built, if the tableau of its
+    ``solve_placement`` would pass the guard (``lp._check_tableau``)."""
     n, k = inst.n_files, inst.n_users
-    n_vars, n_eq = n * (k + 1) + n_t, n + exact_cache
     n_ub = (not exact_cache) + ((n - 1) * k if ordered else 0) + n_rows
-    lp._check_tableau(*((2 * n_eq + n_ub, 0, n_vars) if n_t else (n_vars, n_eq, n_ub)))
+    lp._check_tableau(n * (k + 1) + n_t, n + exact_cache, n_ub)
 
 
 @dataclass(frozen=True)
@@ -311,15 +311,14 @@ class LpOptimum:
 
 
 def solve_placement(problem: LpProblem, inst: Instance) -> LpOptimum:
-    """Solve a placement program and validate its placement.
+    """Solve a placement program through its explicit dual (``lp.solve_via_dual``
+    checks the point's residual) and validate its placement.
 
-    Programs with epigraph variables are tall (one row per ordering or
-    message), so they are solved through the explicit dual.  Entries in
-    (-1e-9, 0] are cleared to 0.0; a placement that still violates
+    Entries in (-1e-9, 0] are cleared to 0.0; a placement that still violates
     ``validate_placement`` raises RuntimeError.
     """
     n_a = inst.n_files * (inst.n_users + 1)
-    sol = (lp.solve_via_dual if problem.n_vars > n_a else lp.solve)(problem)
+    sol = lp.solve_via_dual(problem)
     if not sol.optimal:
         raise RuntimeError(f"placement program reported {sol.status}; this is a bug")
     m = sol.x[:n_a].reshape(inst.n_files, inst.n_users + 1)

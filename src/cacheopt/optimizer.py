@@ -21,7 +21,9 @@ reference instances and on randomized grids.  ``solve_p4_lp`` drops the
 ordering restriction and handles nonuniform file sizes through an epigraph LP
 with one variable per (message level, requested-file set) of positive weight,
 sized from the (N, K) counts of ``delivery.set_counts`` by
-``model.check_placement_program`` before its weights are computed.
+``model.check_placement_program`` before its weights are computed.  Both are
+solved like the bounds: sized and built by ``model.placement_program``,
+solved through the explicit dual by ``model.solve_placement``.
 """
 
 from __future__ import annotations
@@ -252,7 +254,6 @@ def solve_p3_lp(inst: Instance, *, scheme: str = "mccs") -> LpOptimum:
         raise ValueError("this LP is formulated for uniform file sizes")
     if scheme not in ("mccs", "ccs"):
         raise ValueError("scheme must be 'mccs' or 'ccs'")
-    check_placement_program(inst, exact_cache=True, ordered=True)
     coeffs = g_coefficients(inst)
     g = coeffs.g if scheme == "mccs" else coeffs.g_ccs
     return solve_placement(placement_program(inst, g.ravel(), exact_cache=True, ordered=True), inst)

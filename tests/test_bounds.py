@@ -399,9 +399,10 @@ class TestOrderedBound:
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_size_guard(self):
-        # a plain LP, past the file-set keys: 4,997 rows and 9,998 tableau
-        # columns at (1000,4), refused before its weights are computed
-        assert_refused_early(lower_bound_p2, Instance.from_zipf(1000, 4, 100.0, 0.8), 381)
+        # a plain LP, past the file-set keys: its dual tableau has 5,000 rows
+        # (one per placement entry) and 10,998 columns at (1000,4), refused
+        # after its weights (about 40 ms, under 1 MiB), before the program
+        assert_refused_early(lower_bound_p2, Instance.from_zipf(1000, 4, 100.0, 0.8), 420)
 
     def test_dominates_general_bound(self, rng):
         for _ in range(10):

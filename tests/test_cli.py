@@ -139,14 +139,14 @@ class TestOptimizeCommand:
                                  "--cache", "3", "--zipf", "0.8")
         assert code == 3 and out == ""
         assert "keys" in err
-        # P2 and the placement LP pivot their own 381 MiB tableau at (1000,4)
+        # P2 and the placement LP would pivot a 420 MiB dual tableau at (1000,4)
         for argv in (("bound", "--which", "p2"), ("optimize", "--method", "lp")):
             start = time.perf_counter()
             code, out, err = run_cli(capsys, *argv, "--files", "1000", "--users", "4",
                                      "--cache", "100", "--zipf", "0.8")
             assert time.perf_counter() - start < 1.0
             assert code == 3 and out == ""
-            assert "(381 MiB) exceeds the 256 MiB tableau guard" in err
+            assert "(420 MiB) exceeds the 256 MiB tableau guard" in err
         # the general bound's first program would pivot a 602 MiB dual tableau
         code, out, err = run_cli(capsys, "bound", "--which", "p1", "--files", "20", "--users", "4",
                                  "--cache", "5", "--zipf", "0.56")
@@ -163,7 +163,8 @@ class TestOptimizeCommand:
 
 class TestBoundCommand:
     def test_solver_failure_exit_1(self, capsys, monkeypatch):
-        # P2 at (50,10) returns an infeasible placement: a one-line reason, no traceback
+        # a solver fault (a RuntimeError from the bound) exits 1 with a
+        # one-line reason and no traceback
         reason = ("placement program returned an infeasible placement "
                   "(nonnegative: a[2,8] = -4.47035e-08 < 0); this is a bug")
 

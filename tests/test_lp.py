@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from cacheopt import lp
 from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
 from cacheopt.lp import LpProblem, solve, solve_via_dual
-from cacheopt.model import Instance, zipf_popularity
+from cacheopt.model import Instance, validate_placement, zipf_popularity
 from cacheopt.optimizer import solve_p3_lp, solve_p4_lp
 
 from conftest import dense_pivot, full_epigraph_problem
@@ -220,18 +220,21 @@ class TestMemory:
         assert ratio <= 1.25, f"peak {ratio:.2f}x the tableau"
 
     def test_guard_sizes_the_tableau_it_protects(self, monkeypatch):
-        # every _check_tableau call of P4, of each P5 round, of P2 and of P3
-        # admits the tableau its solve then pivots at exactly its bytes, and
-        # no less: the dual route's tableau is that of the dual's primal solve
-        checked, shapes = [], []
+        # every tableau that P4, each P5 round, P2 and P3 pivot is sized
+        # first, and every _check_tableau call admits the next tableau at
+        # exactly its bytes, and no less: the tableau of the dual's solve,
+        # sized from the primal's dimensions (P4 and P5's first round are
+        # sized from (N, K) before their tables, then again by
+        # placement_program)
+        events = []  # check dimensions (3-tuples) and tableau shapes, in order
         check, init = lp._check_tableau, lp._Tableau.__init__
 
         def record_check(*dims):
-            checked.append(dims)
+            events.append(dims)
             check(*dims)
 
         def record_tableau(tab, T, basis):
-            shapes.append(T.shape)
+            events.append(T.shape)
             init(tab, T, basis)
 
         monkeypatch.setattr(lp, "_check_tableau", record_check)
@@ -242,8 +245,16 @@ class TestMemory:
         uniform = Instance(6, 3, 2.0, zipf_popularity(6, 0.56))
         lower_bound_p2(uniform)
         solve_p3_lp(uniform)
-        assert len(checked) == len(shapes) >= 5
-        for dims, (rows, cols) in zip(checked, shapes):
+        pairs, pending, tableaus = [], [], 0
+        for event in events:
+            if len(event) == 3:
+                pending.append(event)
+                continue
+            assert pending, f"a {event} tableau was built without a size check"
+            pairs += [(dims, event) for dims in pending]
+            pending, tableaus = [], tableaus + 1
+        assert not pending and tableaus >= 5
+        for dims, (rows, cols) in pairs:
             monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8)
             check(*dims)
             monkeypatch.setattr(lp, "MAX_TABLEAU_BYTES", rows * cols * 8 - 1)
@@ -267,19 +278,19 @@ def zero_rhs_problem(seed: int, n: int, m: int) -> LpProblem:
                      ub_lhs=np.vstack([lhs, np.ones((1, n))]), ub_rhs=np.append(np.zeros(m), 1.0))
 
 
-def lp_programs(solver, inst: Instance) -> list[LpProblem]:
-    """The programs ``solver(inst)`` hands to ``lp.solve``, in call order
-    (for the dual route, the explicit duals)."""
-    programs, direct = [], lp.solve
+def lp_programs(solver, inst: Instance, name: str = "solve"):
+    """``solver(inst)`` and the programs it hands to ``lp.<name>``, in call
+    order (to ``lp.solve``, the explicit duals of its placement programs)."""
+    programs, direct = [], getattr(lp, name)
 
     def record(problem):
         programs.append(problem)
         return direct(problem)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "solve", record)
-        solver(inst)
-    return programs
+        mp.setattr(lp, name, record)
+        opt = solver(inst)
+    return opt, programs
 
 
 def assert_same_as_dense(problem: LpProblem) -> int:
@@ -356,8 +367,8 @@ class TestBlockedPivot:
         (lower_bound_p5, SIZED_7_4),
     ], ids=["p1", "p1-theta0", "p4", "p2", "p3", "p4-sized", "p5-sized", "p5-sized-7"])
     def test_placement_programs(self, solver, inst):
-        # every round of P1/P5's row generation; both LP routes
-        programs = lp_programs(solver, inst)
+        # every round of P1/P5's row generation, and P2/P3's one program
+        _, programs = lp_programs(solver, inst)
         assert programs
         for problem in programs:
             assert_same_as_dense(problem)
@@ -384,3 +395,50 @@ class TestPinnedPivots:
     def test_sized_bounds(self, solver, iterations, value):
         opt = solver(SIZED_7_4)
         assert (opt.iterations, repr(opt.value)) == (iterations, value)
+
+
+class TestSquarePrograms:
+    """P2 and P3, whose programs have no epigraph, on the dual route."""
+
+    def test_p2_where_the_primal_route_failed(self):
+        # the primal simplex returned a[2,8] = -4.47e-8 here; HiGHS gives
+        # 2.6544221206385354
+        inst = Instance.from_zipf(50, 10, 10.0, 0.8)
+        opt = lower_bound_p2(inst)
+        assert validate_placement(inst, opt.placement) == []
+        assert opt.value == pytest.approx(2.6544221206385354, abs=1e-9)
+
+    @pytest.mark.parametrize("solver, m, theta, value", [
+        (solve_p3_lp, 10.0, 0.8, 2.654422120638537),
+        (lower_bound_p2, 20.0, 1.2, 1.1374400045479556),
+    ], ids=["p3", "p2"])
+    def test_large_k_within_pivot_budget(self, monkeypatch, solver, m, theta, value):
+        # 570 and 712 pivots on the dual route; the primal route stalled past
+        # 5,000 pivots (the values are HiGHS's)
+        monkeypatch.setattr(lp, "MAX_ITERATIONS", 2_000)
+        assert solver(Instance.from_zipf(50, 10, m, theta)).value == pytest.approx(value, abs=1e-9)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 10), k=st.integers(1, 8), cache_frac=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["zipf", "random", "tied", "zeros"]), theta=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_highs(self, n, k, cache_frac, kind, theta, seed):
+        # each program's value against scipy's HiGHS on the same program
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            p = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        elif kind == "tied":  # a few popularity levels, each shared by a run of files
+            p = np.sort(rng.integers(1, 4, size=n))[::-1].astype(float)
+        else:
+            p = zipf_popularity(n, theta)
+            if kind == "zeros":
+                p[n - n // 3:] = 0.0  # files nobody requests
+        inst = Instance(n, k, cache_frac * n, p / p.sum())
+        for solver in (lower_bound_p2, solve_p3_lp, lambda i: solve_p3_lp(i, scheme="ccs")):
+            opt, [problem] = lp_programs(solver, inst, "solve_via_dual")
+            ref = linprog(problem.objective, A_ub=problem.ub_lhs, b_ub=problem.ub_rhs,
+                          A_eq=problem.eq_lhs, b_eq=problem.eq_rhs, bounds=(0, None),
+                          method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                   "dual_feasibility_tolerance": 1e-10})
+            assert ref.status == 0
+            assert opt.value == pytest.approx(ref.fun, abs=1e-9)

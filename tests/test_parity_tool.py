@@ -7,8 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LINE = re.compile(r"(\d+x\d+:[a-z]+) (\S+) (\S+) (-|[0-9a-f]{64})(?: (\d+))?")
-LPS = {"lower_bound_p1", "lower_bound_p2", "solve_p3_lp", "solve_p4_lp", "lower_bound_p5"}
-SOLVED = LPS | {"optimize_mccs"}
+LPS = {"lower_bound_p1", "lower_bound_p2", "solve_p3_lp", "solve_p3_lp:ccs", "solve_p4_lp",
+       "lower_bound_p5"}
+SOLVED = LPS | {"optimize_mccs", "optimize_ccs"}
 
 
 def parity(*args: str) -> subprocess.CompletedProcess:
@@ -34,6 +35,8 @@ def test_whole_grid_line_format():
     solved = [row[1] for row in rows if row[2] == "optimize_mccs"]  # the points of at most 300 keys
     assert solved == ["2x2:zipf", "3x2:tied", "4x3:zeros", "1x3:uniform", "3x5:random", "5x1:tied",
                       "5x4:uniform", "6x3:zeros", "6x5:tied", "7x4:zipf", "10x2:random"]
+    for label in solved:  # every program and both searches, once each
+        assert sorted(row[2] for row in rows if row[1] == label and row[2] in SOLVED) == sorted(SOLVED)
 
 
 def test_refuses_a_tree_without_the_package(tmp_path):

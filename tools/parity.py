@@ -15,10 +15,11 @@ placement; where the file-set table is small, the distinct-set
 probabilities and P4's message weights per file set (1-based) and level;
 and where it is smaller still, the optimal placement of each program at
 M = N/3: P1 to P4 (``lower_bound_p1``, ``lower_bound_p2``, ``solve_p3_lp``,
-``solve_p4_lp``), P5 (``lower_bound_p5``) with sizes 0.5..1.5, and the
-grouping search (``optimize_mccs`` without bounds).  An LP's line ends with
-its simplex pivot count.  The grid is defined here, once, and always printed
-whole (about 1.2 s).  No timings are taken.
+``solve_p4_lp``), P3 for the baseline scheme (``solve_p3_lp:ccs``), P5
+(``lower_bound_p5``) with sizes 0.5..1.5, and the grouping search for both
+schemes (``optimize_mccs`` without bounds, ``optimize_ccs``).  An LP's line
+ends with its simplex pivot count.  The grid is defined here, once, and
+always printed whole (about 1 s).  No timings are taken.
 """
 
 from __future__ import annotations
@@ -72,14 +73,16 @@ def solves(lib, inst, label: str):
     model, bounds, optimizer = lib[2:]
     n = inst.n_files
     sized = model.Instance(n, inst.n_users, n / 3, inst.popularity, np.linspace(0.5, 1.5, n))
-    for solve, case in ((bounds.lower_bound_p1, inst), (bounds.lower_bound_p2, inst),
-                        (optimizer.solve_p3_lp, inst), (optimizer.solve_p4_lp, inst),
-                        (bounds.lower_bound_p5, sized)):
-        opt = solve(case)
-        yield (f"{label} {solve.__name__} {opt.value!r} {sha(opt.placement.matrix)} "
-               f"{opt.iterations}")
-    best = optimizer.optimize_mccs(inst, with_bounds=False).best
-    yield f"{label} optimize_mccs {best.rate!r} {sha(best.matrix)}"
+    for name, opt in (("lower_bound_p1", bounds.lower_bound_p1(inst)),
+                      ("lower_bound_p2", bounds.lower_bound_p2(inst)),
+                      ("solve_p3_lp", optimizer.solve_p3_lp(inst)),
+                      ("solve_p3_lp:ccs", optimizer.solve_p3_lp(inst, scheme="ccs")),
+                      ("solve_p4_lp", optimizer.solve_p4_lp(inst)),
+                      ("lower_bound_p5", bounds.lower_bound_p5(sized))):
+        yield f"{label} {name} {opt.value!r} {sha(opt.placement.matrix)} {opt.iterations}"
+    for name, best in (("optimize_mccs", optimizer.optimize_mccs(inst, with_bounds=False).best),
+                       ("optimize_ccs", optimizer.optimize_ccs(inst))):
+        yield f"{label} {name} {best.rate!r} {sha(best.matrix)}"
 
 
 def lines(lib, n: int, k: int, kind: str):
