@@ -1,21 +1,24 @@
-"""Dense two-phase simplex solver.
+"""Dense phase-2 simplex solver.
 
 Small, deterministic, dependency-free (numpy only).  The placement programs
 have a few hundred columns; the general bound's epigraph has one row per
-generated ordering (about 800 of the 13k orderings at N=12, K=4).  They are
-solved through their explicit dual (``solve_via_dual``), whose final reduced
-costs at its slack columns are the primal point, checked before it is
-returned.  The programs are often heavily degenerate (many symmetric files
-produce identical coefficients) and must solve bit-reproducibly, so a dense
-tableau simplex with a fixed pivot rule is the right tool.  The standard-form
-tableau is built in one allocation and pivoted in place: a pivot updates only
-the rows its column touches, a block of rows at a time, and makes no
-tableau-sized temporary.  ``_check_tableau`` sizes the dual's tableau from a
-program's dimensions, so callers refuse a program past MAX_TABLEAU_BYTES
-before building it.
+generated ordering (about 800 of the 13k orderings at N=12, K=4).  Each
+minimizes an expected rate, so its objective is nonnegative, and it is solved
+through its explicit dual (``solve_via_dual``): ``<=`` rows whose right-hand
+side is that objective, so the dual starts feasible at its slack basis and
+``solve`` needs no phase 1.  The dual's final reduced costs at its slack
+columns are the primal point, checked before it is returned.  The programs
+are often heavily degenerate (many symmetric files produce identical
+coefficients) and must solve bit-reproducibly, so a dense tableau simplex
+with a fixed pivot rule is the right tool.  The tableau [A | I | b] is built
+in one allocation and pivoted in place: a pivot updates only the rows its
+column touches, a block of rows at a time, and makes no tableau-sized
+temporary.  ``_check_tableau`` sizes the dual's tableau from a program's
+dimensions, so callers refuse a program past MAX_TABLEAU_BYTES before
+building it.
 Dantzig pricing is used until a degeneracy stall is detected, after which
 Bland's rule guarantees termination.  Row prices are read off the final
-reduced costs of the slack and artificial columns; no second linear solve.
+reduced costs of the slack columns; no second linear solve.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ class SizeGuardError(RuntimeError):
 
 
 def _check_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
-    """Raise SizeGuardError before ``solve_via_dual`` of a program with objective
-    >= 0 would pivot more than MAX_TABLEAU_BYTES: the dual has a row per primal
-    variable, a column per dual variable (two per equality), slack and the rhs."""
+    """Raise SizeGuardError before ``solve_via_dual`` of a program would pivot
+    more than MAX_TABLEAU_BYTES: the dual has a row per primal variable, a
+    column per dual variable (two per equality), a slack per row and the rhs.
+    ``solve_via_dual`` refuses a negative objective, so the dual starts on its
+    slacks and these are all of its columns."""
     rows, cols = n_vars, 2 * n_eq + n_ub + n_vars + 1
     if rows * cols * 8 > MAX_TABLEAU_BYTES:
         raise SizeGuardError(f"a {rows} x {cols} simplex tableau ({rows * cols * 8 / 2 ** 20:.0f} MiB) "
@@ -88,7 +93,8 @@ class LpSolution:
     """Solve status; when optimal, x, value and the row prices y.
 
     objective - A^T y >= 0 and ``duals_ub <= 0`` for the ``<=`` rows of the
-    min problem.  Every row block present is priced, redundant rows included.
+    min problem.  Every row block present is priced.  ``solve`` reports
+    'optimal' or 'unbounded', ``solve_via_dual`` 'optimal' or 'infeasible'.
     """
 
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
@@ -116,14 +122,6 @@ class _Tableau:
         self.iterations = 0
         self.cost = np.zeros(T.shape[1])
 
-    def set_objective(self, costs: np.ndarray):
-        """Install reduced-cost row for the given variable costs."""
-        self.cost = np.append(costs.astype(float), 0.0)
-        for r, j in enumerate(self.basis):
-            cj = self.cost[j]
-            if cj != 0.0:
-                self.cost -= cj * self.T[r]
-
     def pivot(self, row: int, col: int):
         """Make column ``col`` the unit vector of ``row``.
 
@@ -149,8 +147,8 @@ class _Tableau:
         self.basis[row] = col
         self.iterations += 1
 
-    def run(self, eligible: np.ndarray) -> str:
-        """Iterate to optimality over the columns marked eligible to enter.
+    def run(self) -> str:
+        """Iterate to optimality or an unbounded column.
 
         Dantzig pricing with a largest-pivot ratio tie-break; after
         DEGENERATE_STALL consecutive degenerate pivots, Bland's rule takes
@@ -164,7 +162,7 @@ class _Tableau:
                 raise RuntimeError("simplex iteration limit exceeded")
             bland = stall >= DEGENERATE_STALL
             red = self.cost[:-1]
-            cand = np.where(eligible & (red < -PIVOT_TOL))[0]
+            cand = np.where(red < -PIVOT_TOL)[0]
             if cand.size == 0:
                 return "optimal"
             col = int(cand[0]) if bland else int(cand[np.argmin(red[cand])])
@@ -195,63 +193,28 @@ def _blocks(problem: LpProblem):
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve an LpProblem with the two-phase simplex.
+    """Minimize c x over A x <= b, x >= 0, with b >= 0, from the slack basis.
 
-    Infeasible and unbounded problems are reported through ``status``; only
-    malformed input or an internal failure raises.
+    The origin is feasible, so there is no phase 1: the tableau [A | I | b]
+    is built in one allocation, its cost row is [c | 0 | 0], and the simplex
+    runs to an optimum or an unbounded ray.  Equality rows or a negative
+    right-hand side raise ValueError before the tableau is built.
     """
+    if problem.eq_lhs is not None:
+        raise ValueError("lp.solve takes <= rows only; solve_via_dual takes equality rows")
     n = problem.n_vars
-    a_eq, b_eq, a_ub, b_ub = _blocks(problem)
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
-    b = np.concatenate([b_eq, b_ub])
-    row_sign = np.where(b < 0, -1.0, 1.0)
-    # rows without a +1 slack (equalities, flipped <= rows) start on an artificial
-    art_rows = np.flatnonzero((np.arange(m) < m_eq) | (row_sign < 0))
-    n_total = n + m_ub
-    n_cols = n_total + art_rows.size
-
-    # standard form [x | slacks | artificials | rhs] in one allocation; rows
-    # flipped so every rhs is nonnegative
-    T = np.zeros((m, n_cols + 1))
-    T[:m_eq, :n] = a_eq
-    T[m_eq:, :n] = a_ub
-    T[row_sign < 0, :n] *= -1.0
-    T[:, -1] = b * row_sign
-    T[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = row_sign[m_eq:]
-    T[art_rows, n_total + np.arange(art_rows.size)] = 1.0
-    basis = np.arange(n - m_eq, n_total)  # row i starts on its slack ...
-    basis[art_rows] = n_total + np.arange(art_rows.size)  # ... or its artificial
-    tab = _Tableau(T, basis.tolist())
-    is_art = np.arange(n_cols) >= n_total
-
-    # phase 1: drive out artificials
-    if art_rows.size:
-        tab.set_objective(is_art.astype(float))
-        status = tab.run(eligible=~is_art)
-        if status != "optimal" or -tab.cost[-1] > FEAS_TOL:
-            return LpSolution("infeasible", None, None, tab.iterations)
-        # pivot residual artificials out, dropping redundant rows
-        drop_rows = []
-        for r in range(len(tab.basis)):
-            if is_art[tab.basis[r]]:
-                row = tab.T[r, :-1]
-                nz = np.where((~is_art) & (np.abs(row) > PIVOT_TOL))[0]
-                if nz.size:
-                    tab.pivot(r, int(nz[0]))
-                else:
-                    drop_rows.append(r)
-        if drop_rows:
-            keep = [r for r in range(len(tab.basis)) if r not in drop_rows]
-            tab.T = tab.T[keep]
-            tab.basis = [tab.basis[r] for r in keep]
-
-    # phase 2
-    costs = np.zeros(n_cols)
-    costs[:n] = problem.objective
-    tab.set_objective(costs)
-    status = tab.run(eligible=~is_art)
-    if status == "unbounded":
+    _, _, a_ub, b_ub = _blocks(problem)
+    if np.any(b_ub < 0):
+        raise ValueError("lp.solve needs a nonnegative right-hand side; "
+                         "solve_via_dual takes any sign")
+    m = a_ub.shape[0]
+    T = np.zeros((m, n + m + 1))
+    T[:, :n] = a_ub
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:, -1] = b_ub
+    tab = _Tableau(T, list(range(n, n + m)))
+    tab.cost[:n] = problem.objective
+    if tab.run() == "unbounded":
         return LpSolution("unbounded", None, None, tab.iterations)
 
     x = np.zeros(n)
@@ -259,23 +222,28 @@ def solve(problem: LpProblem) -> LpSolution:
         if j < n:
             x[j] = tab.T[r, -1]
     value = float(problem.objective @ x)
-    # a slack or artificial column is its (flipped) row's unit vector at cost
-    # 0, so its reduced cost is minus that row's price; dropped rows get one too
-    duals_eq = -row_sign[:m_eq] * tab.cost[n_total:n_total + m_eq] if m_eq else None
-    duals_ub = -tab.cost[n:n_total] if m_ub else None
-    return LpSolution("optimal", x, value, tab.iterations, duals_eq, duals_ub)
+    # a slack column is its row's unit vector at cost 0, so its reduced cost
+    # is minus that row's price
+    duals_ub = -tab.cost[n:n + m] if m else None
+    return LpSolution("optimal", x, value, tab.iterations, None, duals_ub)
 
 
 def solve_via_dual(problem: LpProblem) -> LpSolution:
-    """Solve by pivoting on the explicit dual, with the primal point checked.
+    """Solve a program with objective >= 0 by pivoting on its explicit dual,
+    with the primal point checked.
 
-    The dual has one row per primal variable, so the epigraph bound programs,
-    with far more rows than columns, pivot a much smaller tableau than their
-    primal.  The primal optimum x is minus the dual's ``<=`` row prices: its
-    final reduced costs at its slack columns.  A recovered point that
-    fails the feasibility or objective check raises RuntimeError with its
-    residual; there is no fallback to the slower direct solve.
+    Any rows and right-hand sides are taken; a negative objective entry raises
+    ValueError (``-0.0`` is accepted).  With c >= 0 and x >= 0 the primal is
+    bounded below, so it is 'optimal' or, when the dual is unbounded,
+    'infeasible'.  The dual has one row per primal variable, so the epigraph
+    bound programs, with far more rows than columns, pivot a much smaller
+    tableau than their primal.  The primal optimum x is minus the dual's
+    ``<=`` row prices: its final reduced costs at its slack columns.  A
+    recovered point that fails the feasibility or objective check raises
+    RuntimeError with its residual.
     """
+    if np.any(problem.objective < 0):
+        raise ValueError("solve_via_dual needs a nonnegative objective")
     a_eq, b_eq, a_ub, b_ub = _blocks(problem)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
 
@@ -286,8 +254,6 @@ def solve_via_dual(problem: LpProblem) -> LpSolution:
     dual_rhs = problem.objective.copy()
     dual = LpProblem(objective=dual_c, ub_lhs=dual_lhs, ub_rhs=dual_rhs)
     sol = solve(dual)
-    if sol.status == "infeasible":
-        return LpSolution("unbounded", None, None, sol.iterations)
     if sol.status == "unbounded":
         return LpSolution("infeasible", None, None, sol.iterations)
 

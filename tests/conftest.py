@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from cacheopt.bounds import _position_weights, distinct_set_probability
 from cacheopt.closedform import rate_from_coefficients
@@ -103,6 +104,12 @@ def full_epigraph_problem(inst: Instance) -> LpProblem:
         costs += [distinct_set_probability(inst, D) for D in (files + 1).tolist()]
     c = np.concatenate([np.zeros(inst.n_files * (k + 1)), costs])
     return placement_program(inst, c, blocks)
+
+
+def highs(problem: LpProblem):
+    """scipy's HiGHS on ``problem`` (x >= 0): the independent value oracle."""
+    return linprog(problem.objective, A_ub=problem.ub_lhs, b_ub=problem.ub_rhs,
+                   A_eq=problem.eq_lhs, b_eq=problem.eq_rhs, bounds=(0, None), method="highs")
 
 
 def enumerated_distinct_expectation(inst: Instance, a, rate) -> float:

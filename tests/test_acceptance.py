@@ -142,8 +142,8 @@ def test_c05_two_user_exact_tradeoff():
         f"{max(g for *_, g in bound_gaps):.3e}); the ordering restriction is "
         f"not always free: witness N=5, M=2.5, "
         f"p=[0.50274, 0.18145, 0.16016, 0.14772, 0.00793] has general bound "
-        f"0.385403 < ordered bound 0.390768, and the unrestricted delivery LP "
-        f"attains 0.385403 with a placement that caches the most popular file "
+        f"0.385405 < ordered bound 0.390774, and the unrestricted delivery LP "
+        f"attains 0.385405 with a placement that caches the most popular file "
         f"at the full-subset level only (pinned in "
         f"test_bounds.py::TestOrderingRestrictionGap)")
     _report(5, f"{count} instances agree within 1e-6 in {elapsed:.2f}s")

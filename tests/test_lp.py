@@ -13,24 +13,47 @@ from cacheopt.lp import LpProblem, solve, solve_via_dual
 from cacheopt.model import Instance, validate_placement, zipf_popularity
 from cacheopt.optimizer import solve_p3_lp, solve_p4_lp
 
-from conftest import dense_pivot, full_epigraph_problem
+from conftest import dense_pivot, full_epigraph_problem, highs
 
 
-def random_problem(rng, n_max=8, m_max=6):
-    """A random LP that is feasible by construction (a known interior point)."""
+def random_problem(rng, n_max=8, m_max=6, feasible=True):
+    """A random program in ``solve_via_dual``'s shape: an objective >= 0 with
+    some zero entries, equality and ``<=`` rows with right-hand sides of either
+    sign.  Feasible by construction (a known interior point) unless
+    ``feasible`` is False, when the right-hand sides are drawn at random."""
     n = int(rng.integers(1, n_max))
     m_eq = int(rng.integers(0, min(3, n)))
     m_ub = int(rng.integers(1, m_max))
     x0 = rng.random(n) + 0.1
     a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-    b_eq = a_eq @ x0 if m_eq else None
     a_ub = rng.normal(size=(m_ub, n))
-    b_ub = a_ub @ x0 + rng.random(m_ub)
-    c = rng.normal(size=n)
-    # bound the feasible region so the problem cannot be unbounded
-    a_ub = np.vstack([a_ub, np.ones((1, n))])
-    b_ub = np.append(b_ub, x0.sum() + 5.0)
+    if feasible:
+        b_eq = a_eq @ x0 if m_eq else None
+        b_ub = a_ub @ x0 + rng.random(m_ub)
+    else:
+        b_eq = rng.normal(size=m_eq) if m_eq else None
+        b_ub = rng.normal(size=m_ub)
+    c = np.abs(rng.normal(size=n)) * (rng.random(n) < 0.8)
     return LpProblem(objective=c, eq_lhs=a_eq, eq_rhs=b_eq, ub_lhs=a_ub, ub_rhs=b_ub)
+
+
+def random_ub_problem(rng, n_max=8, m_max=6, bounded=True):
+    """A random program in ``solve``'s shape: ``<=`` rows with right-hand
+    sides >= 0, about a third of them zero (a degenerate start), and an
+    objective of either sign; ``bounded`` adds the row sum(x) <= n."""
+    n = int(rng.integers(1, n_max))
+    m = int(rng.integers(1, m_max))
+    a_ub = rng.normal(size=(m, n))
+    b_ub = rng.random(m) * (rng.random(m) < 0.7)
+    if bounded:
+        a_ub, b_ub = np.vstack([a_ub, np.ones((1, n))]), np.append(b_ub, float(n))
+    return LpProblem(objective=rng.normal(size=n), ub_lhs=a_ub, ub_rhs=b_ub)
+
+
+def both_routes(rng, count):
+    """``count`` (solver, problem) pairs of each route, in its own shape."""
+    return ([(solve, random_ub_problem(rng)) for _ in range(count)]
+            + [(solve_via_dual, random_problem(rng)) for _ in range(count)])
 
 
 class TestBasics:
@@ -42,13 +65,13 @@ class TestBasics:
         assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equality_split(self):
-        sol = solve(LpProblem(objective=np.array([1.0, 1.0]),
-                              eq_lhs=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0])))
+        sol = solve_via_dual(LpProblem(objective=np.array([1.0, 1.0]),
+                                       eq_lhs=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0])))
         assert sol.optimal and sol.value == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible(self):
-        sol = solve(LpProblem(objective=np.array([1.0]),
-                              eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0])))
+        sol = solve_via_dual(LpProblem(objective=np.array([1.0]),
+                                       eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0])))
         assert sol.status == "infeasible"
         assert sol.x is None
 
@@ -71,25 +94,69 @@ class TestBasics:
         assert sol.optimal and sol.value == pytest.approx(-1.0)
 
 
+class TestRefusals:
+    """Each route takes only the shape it solves from a feasible slack basis."""
+
+    @pytest.mark.parametrize("equality", [True, False], ids=["equality-rows", "negative-rhs"])
+    def test_solve_refuses_before_the_tableau(self, equality):
+        # 1,000 <= rows over 1,000 variables: a 16 MiB tableau, were one built
+        rhs = np.ones(1000)
+        if equality:
+            extra, match = {"eq_lhs": np.ones((1, 1000)), "eq_rhs": [1.0]}, "<= rows only"
+        else:
+            rhs[-1], extra, match = -1e-300, {}, "nonnegative right-hand side"
+        problem = LpProblem(objective=np.ones(1000), ub_lhs=np.ones((1000, 1000)), ub_rhs=rhs,
+                            **extra)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                solve(problem)
+            assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_accepts_a_negative_zero_rhs(self):
+        sol = solve(LpProblem(objective=[-1.0], ub_lhs=[[1.0]], ub_rhs=[-0.0]))
+        assert sol.optimal and sol.value == 0.0
+
+    def test_dual_route_refuses_a_negative_objective(self):
+        with pytest.raises(ValueError, match="nonnegative objective"):
+            solve_via_dual(LpProblem(objective=[1.0, -0.5], ub_lhs=[[1.0, 1.0]], ub_rhs=[1.0]))
+
+    def test_dual_route_accepts_a_negative_zero_objective(self):
+        sol = solve_via_dual(LpProblem(objective=[-0.0, 1.0],
+                                       eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0]))
+        assert sol.optimal and sol.value == 0.0
+        assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
+
+
+def highs_status(problem: LpProblem) -> tuple[str, float | None]:
+    """HiGHS's status and optimal value for ``problem``."""
+    ref = highs(problem)
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], ref.fun
+
+
 class TestAgainstScipy:
     def test_random_problems(self, rng):
-        for _ in range(40):
-            prob = random_problem(rng)
+        # solve on its own shape, with and without the bounding row
+        for i in range(40):
+            prob = random_ub_problem(rng, bounded=i % 4 != 0)
             mine = solve(prob)
-            ref = linprog(prob.objective, A_ub=prob.ub_lhs, b_ub=prob.ub_rhs,
-                          A_eq=prob.eq_lhs, b_eq=prob.eq_rhs, bounds=(0, None),
-                          method="highs")
-            assert mine.optimal == (ref.status == 0)
+            status, value = highs_status(prob)
+            assert mine.status == status
             if mine.optimal:
-                assert mine.value == pytest.approx(ref.fun, abs=1e-8)
+                assert mine.value == pytest.approx(value, abs=1e-8)
 
     def test_dual_route_status_mapping(self):
+        # the dual is unbounded: the primal is infeasible
         infeasible = LpProblem(objective=np.array([1.0]),
                                eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0]))
         assert solve_via_dual(infeasible).status == "infeasible"
+        # a primal unbounded below needs a negative objective entry, refused
         unbounded = LpProblem(objective=np.array([-1.0, 0.0]),
                               ub_lhs=np.array([[0.0, 1.0]]), ub_rhs=np.array([1.0]))
-        assert solve_via_dual(unbounded).status == "unbounded"
+        with pytest.raises(ValueError, match="nonnegative objective"):
+            solve_via_dual(unbounded)
 
     def test_dual_route_duplicate_variables(self):
         # identical columns make the dual rows duplicates; any mass split is
@@ -102,14 +169,15 @@ class TestAgainstScipy:
         assert sol.x.sum() == pytest.approx(3.0, abs=1e-9)
         assert np.min(sol.x) >= -1e-9
 
-    def test_dual_route_matches_direct(self, rng):
-        for _ in range(40):
-            prob = random_problem(rng)
-            direct = solve(prob)
+    def test_dual_route_matches_highs(self, rng):
+        # every fourth program has random right-hand sides, often infeasible
+        for i in range(40):
+            prob = random_problem(rng, feasible=i % 4 != 0)
             viadual = solve_via_dual(prob)
-            assert direct.status == viadual.status
-            if direct.optimal:
-                assert viadual.value == pytest.approx(direct.value, abs=1e-8)
+            status, value = highs_status(prob)
+            assert viadual.status == status
+            if viadual.optimal:
+                assert viadual.value == pytest.approx(value, abs=1e-8)
                 x = viadual.x
                 if prob.eq_lhs is not None:
                     assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) < 1e-8
@@ -130,8 +198,9 @@ class TestDualRoute:
             return replace(sol, duals_ub=sol.duals_ub + 0.25)
 
         monkeypatch.setattr(lp, "solve", perturbed)
-        problem = LpProblem(objective=[-1.0, -1.0], ub_lhs=[[1.0, 2.0], [3.0, 1.0]],
-                            ub_rhs=[4.0, 6.0])
+        # min x1 + x2 over x1 + 2 x2 >= 4, 3 x1 + x2 >= 6
+        problem = LpProblem(objective=[1.0, 1.0], ub_lhs=[[-1.0, -2.0], [-3.0, -1.0]],
+                            ub_rhs=[-4.0, -6.0])
         with pytest.raises(RuntimeError, match="residual"):
             solve_via_dual(problem)
         assert len(calls) == 1
@@ -139,18 +208,19 @@ class TestDualRoute:
 
 class TestSolutionQuality:
     def test_residuals_and_duals(self, rng):
-        # a duplicated equality row is dropped in phase 1 and must still be priced
+        # a duplicated equality row must still be priced
         redundant = LpProblem(objective=[1.0, 2.0, 0.5],
                               eq_lhs=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], eq_rhs=[1.0, 2.0],
                               ub_lhs=[[0.0, 1.0, 1.0]], ub_rhs=[3.0])
-        for prob in [redundant] + [random_problem(rng) for _ in range(25)]:
-            sol = solve(prob)
+        for solver, prob in [(solve_via_dual, redundant)] + both_routes(rng, 25):
+            sol = solver(prob)
             assert sol.optimal
+            assert sol.value == pytest.approx(highs(prob).fun, abs=1e-8)
             x = sol.x
             if prob.eq_lhs is not None:
                 assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) <= 1e-9
             assert np.max(prob.ub_lhs @ x - prob.ub_rhs) <= 1e-9
-            assert np.min(x) >= -1e-12
+            assert np.min(x) >= -1e-9
             # strong duality from the row prices; every row block has its prices
             dual_val = float(sol.duals_ub @ prob.ub_rhs)
             if prob.eq_lhs is not None:
@@ -158,11 +228,9 @@ class TestSolutionQuality:
             assert dual_val == pytest.approx(sol.value, abs=1e-8)
 
     def test_complementary_slackness(self, rng):
-        for _ in range(15):
-            prob = random_problem(rng)
-            sol = solve(prob)
-            if not sol.optimal or sol.duals_ub is None:
-                continue
+        for solver, prob in both_routes(rng, 15):
+            sol = solver(prob)
+            assert sol.optimal
             slack = prob.ub_rhs - prob.ub_lhs @ sol.x
             # inactive rows carry no price; priced rows are tight
             assert np.max(np.abs(sol.duals_ub * slack)) < 1e-7
@@ -173,12 +241,12 @@ class TestSolutionQuality:
             assert np.min(prob.objective - y_terms) > -1e-7
 
     def test_determinism(self, rng):
-        prob = random_problem(rng)
-        a = solve(prob)
-        b = solve(prob)
-        assert a.iterations == b.iterations
-        assert a.value == b.value
-        assert np.array_equal(a.x, b.x)
+        for solver, prob in both_routes(rng, 1):
+            a = solver(prob)
+            b = solver(prob)
+            assert a.iterations == b.iterations
+            assert a.value == b.value
+            assert np.array_equal(a.x, b.x)
 
 
 def dual_solve_peak(monkeypatch, problem: LpProblem) -> float:
@@ -324,32 +392,26 @@ SIZED_7_4 = Instance(7, 4, 3.5, zipf_popularity(7, 0.8), np.linspace(0.5, 2.0, 7
 class TestBlockedPivot:
     """The blocked sparse pivot against the dense rank-1 update it replaced."""
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m_eq=st.integers(0, 3),
-           m_ub=st.integers(0, 8), density=st.sampled_from([0.3, 0.6, 1.0]),
-           feasible=st.booleans(), bounded=st.booleans())
-    @example(seed=3653403231, n=6, m_eq=2, m_ub=2, density=0.3, feasible=False, bounded=False)
-    @example(seed=2404827117, n=8, m_eq=1, m_ub=7, density=0.3, feasible=True, bounded=False)
-    @example(seed=323153949, n=1, m_eq=0, m_ub=7, density=0.6, feasible=True, bounded=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), m_ub=st.integers(0, 8),
+           density=st.sampled_from([0.3, 0.6, 1.0]), bounded=st.booleans())
+    @example(seed=2404827117, n=8, m_ub=7, density=0.3, bounded=False)
+    @example(seed=323153949, n=6, m_ub=7, density=0.6, bounded=False)
     @settings(max_examples=150, deadline=None)
-    def test_random_programs(self, seed, n, m_eq, m_ub, density, feasible, bounded):
-        # sparse integer rows scaled by a random factor: equalities, negative
-        # right-hand sides, degenerate vertices; infeasible when the rhs is
-        # random, unbounded without the bounding row (the examples are one of
-        # each status)
+    def test_random_programs(self, seed, n, m_ub, density, bounded):
+        # sparse integer <= rows scaled by a random factor, right-hand sides in
+        # 0..3 (degenerate vertices where they are 0) and objectives of either
+        # sign; unbounded without the bounding row (one example reaches each
+        # status)
         rng = np.random.default_rng(seed)
-        m = m_eq + m_ub
-        lhs = rng.integers(-3, 4, (m, n)) * (rng.random((m, n)) < density)
-        rhs = rng.integers(-3, 4, m)
-        if feasible:
-            rhs = lhs @ rng.integers(0, 3, n) + np.r_[np.zeros(m_eq, int), rng.integers(0, 3, m_ub)]
+        lhs = rng.integers(-3, 4, (m_ub, n)) * (rng.random((m_ub, n)) < density)
+        rhs = rng.integers(0, 4, m_ub)
         if bounded:
-            lhs, rhs, m_ub = np.vstack([lhs, np.ones(n)]), np.r_[rhs, 3 * n], m_ub + 1
+            lhs, rhs = np.vstack([lhs, np.ones(n)]), np.r_[rhs, 3 * n]
         scale = rng.uniform(0.5, 2.0, len(rhs))
         lhs, rhs = lhs * scale[:, None], rhs * scale
-        assert_same_as_dense(LpProblem(
-            objective=rng.integers(-3, 4, n).astype(float),
-            eq_lhs=lhs[:m_eq] if m_eq else None, eq_rhs=rhs[:m_eq] if m_eq else None,
-            ub_lhs=lhs[m_eq:] if m_ub else None, ub_rhs=rhs[m_eq:] if m_ub else None))
+        assert_same_as_dense(LpProblem(objective=rng.integers(-3, 4, n).astype(float),
+                                       ub_lhs=lhs if len(rhs) else None,
+                                       ub_rhs=rhs if len(rhs) else None))
 
     @pytest.mark.parametrize("problem", [KUHN, zero_rhs_problem(3, 60, 240)], ids=["kuhn", "zero-rhs"])
     def test_degenerate_programs_reach_bland(self, problem):
