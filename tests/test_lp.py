@@ -50,6 +50,12 @@ def random_ub_problem(rng, n_max=8, m_max=6, bounded=True):
     return LpProblem(objective=rng.normal(size=n), ub_lhs=a_ub, ub_rhs=b_ub)
 
 
+# how far below zero an optimal x may read: ``solve`` reads x off basic
+# right-hand sides, ``solve_via_dual`` off final reduced costs, which its
+# recovery check holds to -FEAS_TOL
+X_FLOOR = {solve: -1e-12, solve_via_dual: -lp.FEAS_TOL}
+
+
 def both_routes(rng, count):
     """``count`` (solver, problem) pairs of each route, in its own shape."""
     return ([(solve, random_ub_problem(rng)) for _ in range(count)]
@@ -220,7 +226,7 @@ class TestSolutionQuality:
             if prob.eq_lhs is not None:
                 assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) <= 1e-9
             assert np.max(prob.ub_lhs @ x - prob.ub_rhs) <= 1e-9
-            assert np.min(x) >= -1e-9
+            assert np.min(x) >= X_FLOOR[solver]
             # strong duality from the row prices; every row block has its prices
             dual_val = float(sol.duals_ub @ prob.ub_rhs)
             if prob.eq_lhs is not None:
