@@ -71,13 +71,20 @@ def _add_instance_args(sub: argparse.ArgumentParser):
 
 def _build_instance(args, need_cache: bool = True) -> tuple[Instance, np.ndarray]:
     """The instance the arguments describe; without ``need_cache`` a missing
-    --cache reads as 0, for callers that set the cache size themselves."""
+    --cache reads as 0, for callers that set the cache size themselves.  A flag
+    the instance would not use is refused, not dropped."""
     if args.instance:
+        given = [f"--{name}" for name in ("files", "users", "cache", "zipf", "popularity", "sizes")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--instance holds the whole instance; it cannot take {', '.join(given)}")
         with open(args.instance) as fh:
             return parse_instance_json(fh.read())
     if args.users is None or (args.cache is None and need_cache):
         raise ValueError("need --instance or --users/--cache plus a popularity source")
     if args.popularity is not None:
+        if args.zipf is not None:
+            raise ValueError("--popularity and --zipf both give the popularity; pass one")
         pop = json.loads(args.popularity)
     elif args.zipf is not None:
         if args.files is None:
@@ -86,7 +93,11 @@ def _build_instance(args, need_cache: bool = True) -> tuple[Instance, np.ndarray
     else:
         raise ValueError("need --popularity or --zipf")
     sizes = None if args.sizes is None else json.loads(args.sizes)
-    return ingest_instance(int(args.users), float(args.cache or 0.0), pop, sizes)
+    inst, order = ingest_instance(int(args.users), float(args.cache or 0.0), pop, sizes)
+    if args.files is not None and args.files != inst.n_files:
+        raise ValueError(f"--files {args.files} does not match the {inst.n_files} files of "
+                         "--popularity")
+    return inst, order
 
 
 def _placement_table(matrix: np.ndarray) -> str:

@@ -1,24 +1,18 @@
-"""Dense phase-2 simplex solver.
+"""Dense simplex solver on the explicit dual.
 
 Small, deterministic, dependency-free (numpy only).  The placement programs
 have a few hundred columns; the general bound's epigraph has one row per
 generated ordering (about 800 of the 13k orderings at N=12, K=4).  Each
-minimizes an expected rate, so its objective is nonnegative, and it is solved
-through its explicit dual (``solve_via_dual``): ``<=`` rows whose right-hand
-side is that objective, so the dual starts feasible at its slack basis and
-``solve`` needs no phase 1.  The dual's final reduced costs at its slack
-columns are the primal point, checked before it is returned.  The programs
-are often heavily degenerate (many symmetric files produce identical
+minimizes an expected rate, so its objective is nonnegative, and ``solve``
+pivots its explicit dual, which then starts feasible at its slack basis.  The
+programs are often heavily degenerate (many symmetric files produce identical
 coefficients) and must solve bit-reproducibly, so a dense tableau simplex
-with a fixed pivot rule is the right tool.  The tableau [A | I | b] is built
-in one allocation and pivoted in place: a pivot updates only the rows its
-column touches, a block of rows at a time, and makes no tableau-sized
-temporary.  ``_check_tableau`` sizes the dual's tableau from a program's
-dimensions, so callers refuse a program past MAX_TABLEAU_BYTES before
-building it.
-Dantzig pricing is used until a degeneracy stall is detected, after which
-Bland's rule guarantees termination.  Row prices are read off the final
-reduced costs of the slack columns; no second linear solve.
+with a fixed pivot rule is the right tool.  The tableau is pivoted in place:
+a pivot updates only the rows its column touches, a block of rows at a time,
+and makes no tableau-sized temporary.  ``_check_tableau`` sizes it from a
+program's dimensions, so callers refuse a program past MAX_TABLEAU_BYTES
+before building it.  Dantzig pricing is used until a degeneracy stall is
+detected, after which Bland's rule guarantees termination.
 """
 
 from __future__ import annotations
@@ -39,10 +33,10 @@ class SizeGuardError(RuntimeError):
 
 
 def _check_tableau(n_vars: int, n_eq: int, n_ub: int) -> None:
-    """Raise SizeGuardError before ``solve_via_dual`` of a program would pivot
-    more than MAX_TABLEAU_BYTES: the dual has a row per primal variable, a
-    column per dual variable (two per equality), a slack per row and the rhs.
-    ``solve_via_dual`` refuses a negative objective, so the dual starts on its
+    """Raise SizeGuardError before ``solve`` of a program would pivot more
+    than MAX_TABLEAU_BYTES: its dual's tableau has a row per primal variable,
+    a column per dual variable (two per equality), a slack per row and the
+    rhs.  ``solve`` refuses a negative objective, so the dual starts on its
     slacks and these are all of its columns."""
     rows, cols = n_vars, 2 * n_eq + n_ub + n_vars + 1
     if rows * cols * 8 > MAX_TABLEAU_BYTES:
@@ -65,6 +59,8 @@ class LpProblem:
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
+        if c.ndim != 1:
+            raise ValueError(f"objective has shape {c.shape}, expected a 1-D vector")
         object.__setattr__(self, "objective", c)
         n = c.shape[0]
         for lhs_name, rhs_name in (("eq_lhs", "eq_rhs"), ("ub_lhs", "ub_rhs")):
@@ -93,11 +89,10 @@ class LpSolution:
     """Solve status; when optimal, x, value and the row prices y.
 
     objective - A^T y >= 0 and ``duals_ub <= 0`` for the ``<=`` rows of the
-    min problem.  Every row block present is priced.  ``solve`` reports
-    'optimal' or 'unbounded', ``solve_via_dual`` 'optimal' or 'infeasible'.
+    min problem.  Every row block present is priced.
     """
 
-    status: str  # 'optimal' | 'infeasible' | 'unbounded'
+    status: str  # 'optimal' | 'infeasible'
     x: np.ndarray | None
     value: float | None
     iterations: int
@@ -183,90 +178,61 @@ class _Tableau:
             stall = stall + 1 if degenerate else 0
 
 
-def _blocks(problem: LpProblem):
-    """(eq_lhs, eq_rhs, ub_lhs, ub_rhs), with absent blocks as empty arrays."""
-    n = problem.n_vars
-    return (problem.eq_lhs if problem.eq_lhs is not None else np.zeros((0, n)),
-            problem.eq_rhs if problem.eq_rhs is not None else np.zeros(0),
-            problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n)),
-            problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0))
-
-
 def solve(problem: LpProblem) -> LpSolution:
-    """Minimize c x over A x <= b, x >= 0, with b >= 0, from the slack basis.
-
-    The origin is feasible, so there is no phase 1: the tableau [A | I | b]
-    is built in one allocation, its cost row is [c | 0 | 0], and the simplex
-    runs to an optimum or an unbounded ray.  Equality rows or a negative
-    right-hand side raise ValueError before the tableau is built.
-    """
-    if problem.eq_lhs is not None:
-        raise ValueError("lp.solve takes <= rows only; solve_via_dual takes equality rows")
-    n = problem.n_vars
-    _, _, a_ub, b_ub = _blocks(problem)
-    if np.any(b_ub < 0):
-        raise ValueError("lp.solve needs a nonnegative right-hand side; "
-                         "solve_via_dual takes any sign")
-    m = a_ub.shape[0]
-    T = np.zeros((m, n + m + 1))
-    T[:, :n] = a_ub
-    T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:, -1] = b_ub
-    tab = _Tableau(T, list(range(n, n + m)))
-    tab.cost[:n] = problem.objective
-    if tab.run() == "unbounded":
-        return LpSolution("unbounded", None, None, tab.iterations)
-
-    x = np.zeros(n)
-    for r, j in enumerate(tab.basis):
-        if j < n:
-            x[j] = tab.T[r, -1]
-    value = float(problem.objective @ x)
-    # a slack column is its row's unit vector at cost 0, so its reduced cost
-    # is minus that row's price
-    duals_ub = -tab.cost[n:n + m] if m else None
-    return LpSolution("optimal", x, value, tab.iterations, None, duals_ub)
-
-
-def solve_via_dual(problem: LpProblem) -> LpSolution:
     """Solve a program with objective >= 0 by pivoting on its explicit dual,
     with the primal point checked.
 
     Any rows and right-hand sides are taken; a negative objective entry raises
-    ValueError (``-0.0`` is accepted).  With c >= 0 and x >= 0 the primal is
-    bounded below, so it is 'optimal' or, when the dual is unbounded,
-    'infeasible'.  The dual has one row per primal variable, so the epigraph
-    bound programs, with far more rows than columns, pivot a much smaller
-    tableau than their primal.  The primal optimum x is minus the dual's
-    ``<=`` row prices: its final reduced costs at its slack columns.  A
-    recovered point that fails the feasibility or objective check raises
-    RuntimeError with its residual.
+    ValueError before anything is allocated (``-0.0`` is accepted).  With
+    c >= 0 and x >= 0 the primal is bounded below, so it is 'optimal' or, when
+    the dual is unbounded, 'infeasible'.
+
+    The dual  max b_eq'mu + b_ub'lam  s.t.  A_eq'mu + A_ub'lam <= c, lam <= 0,
+    with mu = mu+ - mu- and lam = -lhat, is written as a min problem straight
+    into one tableau [A_eq' | -A_eq' | -A_ub' | I | c] with cost row
+    [-b_eq | b_eq | b_ub | 0 | 0].  Its right-hand side c is >= 0, so it
+    starts feasible at its slack basis and needs no phase 1.  It has one row
+    per primal variable, so the epigraph bound programs, with far more rows
+    than columns, pivot a much smaller tableau than their primal.  The primal
+    optimum x is the dual's final reduced costs at its slack columns.  A point
+    that fails the feasibility or objective check raises RuntimeError with its
+    residual.  Row prices are read off the dual's basic values.
     """
-    if np.any(problem.objective < 0):
-        raise ValueError("solve_via_dual needs a nonnegative objective")
-    a_eq, b_eq, a_ub, b_ub = _blocks(problem)
+    c, n = problem.objective, problem.n_vars
+    if np.any(c < 0):
+        raise ValueError("lp.solve needs a nonnegative objective")
+    empty = np.zeros((0, n)), np.zeros(0)  # an absent block
+    a_eq, b_eq = empty if problem.eq_lhs is None else (problem.eq_lhs, problem.eq_rhs)
+    a_ub, b_ub = empty if problem.ub_lhs is None else (problem.ub_lhs, problem.ub_rhs)
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    m = 2 * m_eq + m_ub  # the dual's variables: mu+, mu-, lhat
+    T = np.zeros((n, m + n + 1))
+    T[:, :m_eq] = a_eq.T
+    np.negative(a_eq.T, out=T[:, m_eq:2 * m_eq])
+    np.negative(a_ub.T, out=T[:, 2 * m_eq:m])
+    T[np.arange(n), m + np.arange(n)] = 1.0
+    T[:, -1] = c
+    tab = _Tableau(T, list(range(m, m + n)))
+    np.negative(b_eq, out=tab.cost[:m_eq])
+    tab.cost[m_eq:2 * m_eq] = b_eq
+    tab.cost[2 * m_eq:m] = b_ub
+    if tab.run() == "unbounded":
+        return LpSolution("infeasible", None, None, tab.iterations)
 
-    # max b_eq'mu + b_ub'lam  s.t. A_eq'mu + A_ub'lam <= c, lam <= 0
-    # with mu = mu+ - mu-, lam = -lhat, written as a min problem:
-    dual_c = np.concatenate([-b_eq, b_eq, b_ub])
-    dual_lhs = np.hstack([a_eq.T, -a_eq.T, -a_ub.T])
-    dual_rhs = problem.objective.copy()
-    dual = LpProblem(objective=dual_c, ub_lhs=dual_lhs, ub_rhs=dual_rhs)
-    sol = solve(dual)
-    if sol.status == "unbounded":
-        return LpSolution("infeasible", None, None, sol.iterations)
-
-    x = -sol.duals_ub
+    z = np.zeros(m)
+    for r, j in enumerate(tab.basis):
+        if j < m:
+            z[j] = tab.T[r, -1]
+    duals_eq = z[:m_eq] - z[m_eq:2 * m_eq]
+    duals_ub = -z[2 * m_eq:]
+    bound = float(duals_eq @ b_eq + duals_ub @ b_ub)
+    x = tab.cost[m:m + n].copy()
     # largest violation of x >= 0, the equalities and the <= rows; NaN fails
     resid = float(np.max(np.concatenate([-x, np.abs(a_eq @ x - b_eq), a_ub @ x - b_ub]),
                          initial=0.0))
-    value = float(problem.objective @ x)
-    if not resid <= FEAS_TOL or abs(value - (-sol.value)) > 1e-6 * (1.0 + abs(value)):
-        raise RuntimeError(f"solve_via_dual: recovered point has residual {resid:.3e}, "
-                           f"objective {value!r} against the dual's {-sol.value!r}")
-
-    z = sol.x
-    duals_eq = z[:m_eq] - z[m_eq:2 * m_eq] if m_eq else None
-    duals_ub = -z[2 * m_eq:] if m_ub else None
-    return LpSolution("optimal", x, value, sol.iterations, duals_eq, duals_ub)
+    value = float(c @ x)
+    if not resid <= FEAS_TOL or abs(value - bound) > 1e-6 * (1.0 + abs(value)):
+        raise RuntimeError(f"lp.solve: recovered point has residual {resid:.3e}, "
+                           f"objective {value!r} against the dual's {bound!r}")
+    return LpSolution("optimal", x, value, tab.iterations,
+                      duals_eq if m_eq else None, duals_ub if m_ub else None)

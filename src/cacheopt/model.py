@@ -311,14 +311,14 @@ class LpOptimum:
 
 
 def solve_placement(problem: LpProblem, inst: Instance) -> LpOptimum:
-    """Solve a placement program through its explicit dual (``lp.solve_via_dual``
+    """Solve a placement program (``lp.solve`` pivots its explicit dual and
     checks the point's residual) and validate its placement.
 
     Entries in (-1e-9, 0] are cleared to 0.0; a placement that still violates
     ``validate_placement`` raises RuntimeError.
     """
     n_a = inst.n_files * (inst.n_users + 1)
-    sol = lp.solve_via_dual(problem)
+    sol = lp.solve(problem)
     if not sol.optimal:
         raise RuntimeError(f"placement program reported {sol.status}; this is a bug")
     m = sol.x[:n_a].reshape(inst.n_files, inst.n_users + 1)

@@ -13,7 +13,9 @@ passes themselves have an unfused oracle: one whole join per state map, so
 three per file, that the fused passes must match bit for bit.  The grouping
 search's oracle lists its candidate family, deduplicated by placement, and
 picks from the list.  The simplex pivot's oracle updates every row of the
-tableau with one dense outer product.
+tableau with one dense outer product.  A program in the simplex's own shape
+(``<=`` rows with right-hand sides >= 0, any objective) is solved through its
+twin, whose explicit dual that shape is.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from cacheopt.delivery import (
     leader_group,
     message_weights,
 )
-from cacheopt.lp import LpProblem, SizeGuardError
+from cacheopt import lp
+from cacheopt.lp import LpProblem, LpSolution, SizeGuardError
 from cacheopt.model import Instance, as_matrix, binom, cache_coefficients, placement_program
 from cacheopt.optimizer import GroupingCandidate, one_group_candidate, two_group_candidate
 
@@ -362,6 +365,29 @@ def dense_pivot(tab, row: int, col: int):
         tab.cost -= ccoef * T[row]
     tab.basis[row] = col
     tab.iterations += 1
+
+
+def kernel_twin(problem: LpProblem) -> LpProblem:
+    """The twin of ``problem`` = min c x over A x <= b, x >= 0, with b >= 0:
+    objective b and rows -A^T y <= c.  ``lp.solve`` writes the twin's dual
+    tableau as [A | I | b] with cost row [c | 0 | 0], the slack-basis tableau
+    of ``problem`` itself, so it pivots ``problem``'s phase 2."""
+    n = problem.n_vars
+    a = problem.ub_lhs if problem.ub_lhs is not None else np.zeros((0, n))
+    b = problem.ub_rhs if problem.ub_rhs is not None else np.zeros(0)
+    return LpProblem(objective=b, ub_lhs=-a.T, ub_rhs=problem.objective)
+
+
+def solve_kernel(problem: LpProblem) -> LpSolution:
+    """``problem``'s solution read off ``lp.solve`` of its twin: x is minus
+    the twin's row prices (the basic values of ``problem``'s tableau), and
+    ``problem``'s row prices are minus the twin's point.  An unbounded
+    ``problem`` has an infeasible twin; that status is returned as it is."""
+    sol = lp.solve(kernel_twin(problem))
+    if not sol.optimal:
+        return sol
+    x = -sol.duals_ub
+    return LpSolution("optimal", x, float(problem.objective @ x), sol.iterations, None, -sol.x)
 
 
 def assert_refused_early(solve, inst: Instance, mib: float) -> None:

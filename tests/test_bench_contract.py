@@ -114,4 +114,4 @@ def test_lp_public_functions_are_the_solves():
     public = {name for name, fn in vars(lib.lp).items()
               if inspect.isfunction(fn) and not name.startswith("_")
               and fn.__module__ == lib.lp.__name__}
-    assert public == {"solve", "solve_via_dual"}
+    assert public == {"solve"}

@@ -20,7 +20,7 @@ from cacheopt.bounds import (
     rlb_popfirst,
 )
 from cacheopt.delivery import _by_rank, _set_probabilities, expected_rate, file_sets
-from cacheopt.lp import SizeGuardError, solve_via_dual
+from cacheopt.lp import SizeGuardError, solve
 from cacheopt.model import Instance, binom, validate_placement, zipf_popularity
 from cacheopt.optimizer import optimize_mccs, solve_p3_lp, solve_p4_lp
 
@@ -299,7 +299,7 @@ class TestRowGeneration:
         inst = Instance(n, k, cache_frac * sizes.sum(), p / p.sum(), sizes)
         res = (lower_bound_p5 if sized else lower_bound_p1)(inst)
         assert res.value == pytest.approx(
-            solve_via_dual(full_epigraph_problem(inst)).value, abs=1e-9)
+            solve(full_epigraph_problem(inst)).value, abs=1e-9)
         assert validate_placement(inst, res.placement) == []
         assert rbar(inst, res.placement.matrix) == pytest.approx(res.value, abs=1e-9)
 
@@ -317,13 +317,13 @@ class TestRowGeneration:
         inst = Instance.from_zipf(9, 4, 1.5, 0.8)
         n_orderings = sum(math.factorial(len(D)) for D in enumerate_distinct_sets(inst))
         heights = []
-        direct = lp.solve_via_dual
+        direct = lp.solve
 
         def counted(problem):
             heights.append(problem.ub_lhs.shape[0] - 1)  # less the cache row
             return direct(problem)
 
-        monkeypatch.setattr(lp, "solve_via_dual", counted)
+        monkeypatch.setattr(lp, "solve", counted)
         lower_bound_p1(inst)
         assert n_orderings == 3609
         assert max(heights) < 0.25 * n_orderings
@@ -355,14 +355,14 @@ class TestFilesNobodyRequests:
 
     def test_every_epigraph_column_costs(self, monkeypatch):
         solves = []
-        direct = lp.solve_via_dual
+        direct = lp.solve
 
         def checked(problem):
             assert np.all(problem.objective[8 * 6:] > 0)  # past the 8 x 6 placement
             solves.append(problem)
             return direct(problem)
 
-        monkeypatch.setattr(lp, "solve_via_dual", checked)
+        monkeypatch.setattr(lp, "solve", checked)
         for solver, sized in ((lower_bound_p1, False), (lower_bound_p5, True),
                               (solve_p4_lp, False), (solve_p4_lp, True)):
             solver(zero_tailed(sized))
@@ -372,7 +372,7 @@ class TestFilesNobodyRequests:
         # only file 1 is ever requested: no pair of files is a distinct set
         inst = Instance(3, 2, 0.5, [1.0, 0.0, 0.0])
         p1 = lower_bound_p1(inst)
-        assert p1.value == pytest.approx(solve_via_dual(full_epigraph_problem(inst)).value,
+        assert p1.value == pytest.approx(solve(full_epigraph_problem(inst)).value,
                                          abs=1e-12)
         assert p1.value == pytest.approx(0.5, abs=1e-12)
         assert solve_p4_lp(inst).value == pytest.approx(0.5, abs=1e-12)

@@ -96,6 +96,31 @@ class TestOptimizeCommand:
         assert code == 2 and out == ""
         assert "popularity must be finite" in err
 
+    POPULARITY = ("optimize", "--users", "2", "--cache", "1", "--popularity", "[0.5,0.3,0.2]",
+                  "--no-bounds")
+
+    @pytest.mark.parametrize("extra, named", [
+        (("--files", "5"), "--files 5"),
+        (("--zipf", "0.8"), "--zipf"),
+    ], ids=["files", "zipf"])
+    def test_flag_popularity_would_discard_exit_2(self, capsys, extra, named):
+        code, out, err = run_cli(capsys, *self.POPULARITY, *extra)
+        assert code == 2 and out == ""
+        assert named in err and len(err.strip().splitlines()) == 1
+
+    def test_files_matching_popularity_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, *self.POPULARITY, "--files", "3")
+        assert code == 0
+        assert out == run_cli(capsys, *self.POPULARITY)[1]
+
+    def test_instance_file_refuses_other_instance_flags_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"users": 2, "cache": 1, "popularity": [0.5, 0.3, 0.2]}))
+        code, out, err = run_cli(capsys, "optimize", "--instance", str(path), "--users", "3",
+                                 "--cache", "2", "--no-bounds")
+        assert code == 2 and out == ""
+        assert "--users, --cache" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("kind,value,field", [
         ("instance", '{"users": 2, "cache": null, "popularity": [0.6, 0.4]}', '"cache"'),
         ("instance", '{"users": 2, "cache": [1], "popularity": [0.6, 0.4]}', '"cache"'),
@@ -253,14 +278,10 @@ class TestSweepCommand:
         assert first[0] == 0.0 and last[0] == 4.0
         assert last[1] == pytest.approx(0.0, abs=1e-9)
 
-    def test_byte_stable_and_thread_invariant(self, capsys, monkeypatch):
-        monkeypatch.setenv("CACHEOPT_THREADS", "1")
-        _, seq, _ = run_cli(capsys, *self.ARGS)
-        monkeypatch.setenv("CACHEOPT_THREADS", "2")
-        _, par, _ = run_cli(capsys, *self.ARGS)
-        assert seq == par
+    def test_byte_stable(self, capsys):
+        _, first, _ = run_cli(capsys, *self.ARGS)
         _, again, _ = run_cli(capsys, *self.ARGS)
-        assert par == again
+        assert first == again
 
     def test_single_point_grid(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--files", "3", "--users", "2",
@@ -478,7 +499,6 @@ class TestSingleProcess:
         return out
 
     def test_sweep_runs_in_calling_process(self, capsys, monkeypatch):
-        monkeypatch.delenv("CACHEOPT_THREADS", raising=False)
         calls = []
         for module, name in ((optimizer, "optimize_mccs"), (bounds, "lower_bound_p2")):
             def tap(inst, *args, _fn=getattr(module, name), _name=name, **kwargs):

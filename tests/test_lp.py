@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +8,15 @@ from scipy.optimize import linprog
 
 from cacheopt import lp
 from cacheopt.bounds import lower_bound_p1, lower_bound_p2, lower_bound_p5
-from cacheopt.lp import LpProblem, solve, solve_via_dual
+from cacheopt.lp import LpProblem, solve
 from cacheopt.model import Instance, validate_placement, zipf_popularity
 from cacheopt.optimizer import solve_p3_lp, solve_p4_lp
 
-from conftest import dense_pivot, full_epigraph_problem, highs
+from conftest import dense_pivot, full_epigraph_problem, highs, kernel_twin, solve_kernel
 
 
 def random_problem(rng, n_max=8, m_max=6, feasible=True):
-    """A random program in ``solve_via_dual``'s shape: an objective >= 0 with
+    """A random program in ``solve``'s shape: an objective >= 0 with
     some zero entries, equality and ``<=`` rows with right-hand sides of either
     sign.  Feasible by construction (a known interior point) unless
     ``feasible`` is False, when the right-hand sides are drawn at random."""
@@ -38,9 +37,10 @@ def random_problem(rng, n_max=8, m_max=6, feasible=True):
 
 
 def random_ub_problem(rng, n_max=8, m_max=6, bounded=True):
-    """A random program in ``solve``'s shape: ``<=`` rows with right-hand
-    sides >= 0, about a third of them zero (a degenerate start), and an
-    objective of either sign; ``bounded`` adds the row sum(x) <= n."""
+    """A random program in the simplex's own shape, solved through its twin:
+    ``<=`` rows with right-hand sides >= 0, about a third of them zero (a
+    degenerate start), and an objective of either sign; ``bounded`` adds the
+    row sum(x) <= n."""
     n = int(rng.integers(1, n_max))
     m = int(rng.integers(1, m_max))
     a_ub = rng.normal(size=(m, n))
@@ -50,40 +50,36 @@ def random_ub_problem(rng, n_max=8, m_max=6, bounded=True):
     return LpProblem(objective=rng.normal(size=n), ub_lhs=a_ub, ub_rhs=b_ub)
 
 
-# how far below zero an optimal x may read: ``solve`` reads x off basic
-# right-hand sides, ``solve_via_dual`` off final reduced costs, which its
-# recovery check holds to -FEAS_TOL
-X_FLOOR = {solve: -1e-12, solve_via_dual: -lp.FEAS_TOL}
-
-
-def both_routes(rng, count):
-    """``count`` (solver, problem) pairs of each route, in its own shape."""
-    return ([(solve, random_ub_problem(rng)) for _ in range(count)]
-            + [(solve_via_dual, random_problem(rng)) for _ in range(count)])
+def random_programs(rng, count):
+    """``count`` twins of ``random_ub_problem``'s programs, then ``count`` of
+    ``random_problem``'s."""
+    return ([kernel_twin(random_ub_problem(rng)) for _ in range(count)]
+            + [random_problem(rng) for _ in range(count)])
 
 
 class TestBasics:
     def test_bounded_maximization(self):
-        sol = solve(LpProblem(objective=np.array([-1.0]),
-                              ub_lhs=np.array([[1.0]]), ub_rhs=np.array([1.0])))
+        sol = solve_kernel(LpProblem(objective=np.array([-1.0]),
+                                     ub_lhs=np.array([[1.0]]), ub_rhs=np.array([1.0])))
         assert sol.optimal
         assert sol.value == pytest.approx(-1.0, abs=1e-12)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equality_split(self):
-        sol = solve_via_dual(LpProblem(objective=np.array([1.0, 1.0]),
-                                       eq_lhs=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0])))
+        sol = solve(LpProblem(objective=np.array([1.0, 1.0]),
+                              eq_lhs=np.array([[1.0, 1.0]]), eq_rhs=np.array([2.0])))
         assert sol.optimal and sol.value == pytest.approx(2.0, abs=1e-12)
 
     def test_infeasible(self):
-        sol = solve_via_dual(LpProblem(objective=np.array([1.0]),
-                                       eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0])))
+        sol = solve(LpProblem(objective=np.array([1.0]),
+                              eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0])))
         assert sol.status == "infeasible"
         assert sol.x is None
 
     def test_unbounded(self):
-        sol = solve(LpProblem(objective=np.array([-1.0])))
-        assert sol.status == "unbounded"
+        # an unbounded program's twin is infeasible
+        sol = solve_kernel(LpProblem(objective=np.array([-1.0])))
+        assert sol.status == "infeasible"
 
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
@@ -92,46 +88,50 @@ class TestBasics:
         with pytest.raises(ValueError):
             LpProblem(objective=np.array([np.inf]))
 
+    @pytest.mark.parametrize("objective", [1.0, [[1.0, 2.0]]], ids=["scalar", "row-matrix"])
+    def test_objective_must_be_a_vector(self, objective):
+        with pytest.raises(ValueError, match="expected a 1-D vector"):
+            LpProblem(objective=objective)
+        with pytest.raises(ValueError, match="expected a 1-D vector"):
+            LpProblem(objective=objective, ub_lhs=[[1.0, 1.0]], ub_rhs=[1.0])
+
     def test_duplicate_rows_deduped(self):
         row = np.array([[1.0, 1.0]])
-        sol = solve(LpProblem(objective=np.array([-1.0, -1.0]),
-                              ub_lhs=np.vstack([row, row, row]),
-                              ub_rhs=np.array([1.0, 1.0, 1.0])))
+        sol = solve_kernel(LpProblem(objective=np.array([-1.0, -1.0]),
+                                     ub_lhs=np.vstack([row, row, row]),
+                                     ub_rhs=np.array([1.0, 1.0, 1.0])))
         assert sol.optimal and sol.value == pytest.approx(-1.0)
 
 
 class TestRefusals:
-    """Each route takes only the shape it solves from a feasible slack basis."""
+    """``solve`` takes only an objective >= 0, whose dual starts feasible at
+    its slack basis."""
 
-    @pytest.mark.parametrize("equality", [True, False], ids=["equality-rows", "negative-rhs"])
-    def test_solve_refuses_before_the_tableau(self, equality):
+    def test_negative_objective_refused_before_the_tableau(self):
         # 1,000 <= rows over 1,000 variables: a 16 MiB tableau, were one built
-        rhs = np.ones(1000)
-        if equality:
-            extra, match = {"eq_lhs": np.ones((1, 1000)), "eq_rhs": [1.0]}, "<= rows only"
-        else:
-            rhs[-1], extra, match = -1e-300, {}, "nonnegative right-hand side"
-        problem = LpProblem(objective=np.ones(1000), ub_lhs=np.ones((1000, 1000)), ub_rhs=rhs,
-                            **extra)
+        objective = np.ones(1000)
+        objective[-1] = -1e-300
+        problem = LpProblem(objective=objective, ub_lhs=np.ones((1000, 1000)),
+                            ub_rhs=np.ones(1000))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match="nonnegative objective"):
                 solve(problem)
             assert tracemalloc.get_traced_memory()[1] < 2 ** 20
         finally:
             tracemalloc.stop()
 
     def test_solve_accepts_a_negative_zero_rhs(self):
-        sol = solve(LpProblem(objective=[-1.0], ub_lhs=[[1.0]], ub_rhs=[-0.0]))
+        # the twin's objective is -0.0
+        sol = solve_kernel(LpProblem(objective=[-1.0], ub_lhs=[[1.0]], ub_rhs=[-0.0]))
         assert sol.optimal and sol.value == 0.0
 
     def test_dual_route_refuses_a_negative_objective(self):
         with pytest.raises(ValueError, match="nonnegative objective"):
-            solve_via_dual(LpProblem(objective=[1.0, -0.5], ub_lhs=[[1.0, 1.0]], ub_rhs=[1.0]))
+            solve(LpProblem(objective=[1.0, -0.5], ub_lhs=[[1.0, 1.0]], ub_rhs=[1.0]))
 
     def test_dual_route_accepts_a_negative_zero_objective(self):
-        sol = solve_via_dual(LpProblem(objective=[-0.0, 1.0],
-                                       eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0]))
+        sol = solve(LpProblem(objective=[-0.0, 1.0], eq_lhs=[[1.0, 1.0]], eq_rhs=[1.0]))
         assert sol.optimal and sol.value == 0.0
         assert np.allclose(sol.x, [1.0, 0.0], atol=1e-12)
 
@@ -144,12 +144,13 @@ def highs_status(problem: LpProblem) -> tuple[str, float | None]:
 
 class TestAgainstScipy:
     def test_random_problems(self, rng):
-        # solve on its own shape, with and without the bounding row
+        # the simplex's own shape, through the twin, with and without the
+        # bounding row; an unbounded program's twin is infeasible
         for i in range(40):
             prob = random_ub_problem(rng, bounded=i % 4 != 0)
-            mine = solve(prob)
+            mine = solve_kernel(prob)
             status, value = highs_status(prob)
-            assert mine.status == status
+            assert mine.status == {"unbounded": "infeasible"}.get(status, status)
             if mine.optimal:
                 assert mine.value == pytest.approx(value, abs=1e-8)
 
@@ -157,19 +158,19 @@ class TestAgainstScipy:
         # the dual is unbounded: the primal is infeasible
         infeasible = LpProblem(objective=np.array([1.0]),
                                eq_lhs=np.array([[1.0]]), eq_rhs=np.array([-1.0]))
-        assert solve_via_dual(infeasible).status == "infeasible"
+        assert solve(infeasible).status == "infeasible"
         # a primal unbounded below needs a negative objective entry, refused
         unbounded = LpProblem(objective=np.array([-1.0, 0.0]),
                               ub_lhs=np.array([[0.0, 1.0]]), ub_rhs=np.array([1.0]))
         with pytest.raises(ValueError, match="nonnegative objective"):
-            solve_via_dual(unbounded)
+            solve(unbounded)
 
     def test_dual_route_duplicate_variables(self):
         # identical columns make the dual rows duplicates; any mass split is
         # optimal and the recovered point must stay feasible
         prob = LpProblem(objective=np.array([1.0, 1.0, 2.0]),
                          eq_lhs=np.array([[1.0, 1.0, 1.0]]), eq_rhs=np.array([3.0]))
-        sol = solve_via_dual(prob)
+        sol = solve(prob)
         assert sol.optimal
         assert sol.value == pytest.approx(3.0, abs=1e-9)
         assert sol.x.sum() == pytest.approx(3.0, abs=1e-9)
@@ -179,12 +180,12 @@ class TestAgainstScipy:
         # every fourth program has random right-hand sides, often infeasible
         for i in range(40):
             prob = random_problem(rng, feasible=i % 4 != 0)
-            viadual = solve_via_dual(prob)
+            sol = solve(prob)
             status, value = highs_status(prob)
-            assert viadual.status == status
-            if viadual.optimal:
-                assert viadual.value == pytest.approx(value, abs=1e-8)
-                x = viadual.x
+            assert sol.status == status
+            if sol.optimal:
+                assert sol.value == pytest.approx(value, abs=1e-8)
+                x = sol.x
                 if prob.eq_lhs is not None:
                     assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) < 1e-8
                 assert np.max(prob.ub_lhs @ x - prob.ub_rhs) < 1e-8
@@ -193,23 +194,23 @@ class TestAgainstScipy:
 
 class TestDualRoute:
     def test_failed_recovery_raises_without_second_solve(self, monkeypatch):
-        # perturbed dual prices give a primal point that fails the residual
-        # check; the dual route reports it instead of re-solving the primal
-        original = lp.solve
-        calls = []
+        # a dual stopped at its slack basis gives the primal point x = 0, which
+        # fails the residual check; solve reports it instead of re-solving
+        tableaus = []
+        init = lp._Tableau.__init__
 
-        def perturbed(problem):
-            calls.append(problem)
-            sol = original(problem)
-            return replace(sol, duals_ub=sol.duals_ub + 0.25)
+        def record(tab, T, basis):
+            tableaus.append(T.shape)
+            init(tab, T, basis)
 
-        monkeypatch.setattr(lp, "solve", perturbed)
+        monkeypatch.setattr(lp._Tableau, "__init__", record)
+        monkeypatch.setattr(lp._Tableau, "run", lambda tab: "optimal")
         # min x1 + x2 over x1 + 2 x2 >= 4, 3 x1 + x2 >= 6
         problem = LpProblem(objective=[1.0, 1.0], ub_lhs=[[-1.0, -2.0], [-3.0, -1.0]],
                             ub_rhs=[-4.0, -6.0])
-        with pytest.raises(RuntimeError, match="residual"):
-            solve_via_dual(problem)
-        assert len(calls) == 1
+        with pytest.raises(RuntimeError, match=r"residual 6\.000e\+00"):
+            solve(problem)
+        assert tableaus == [(2, 5)]
 
 
 class TestSolutionQuality:
@@ -218,15 +219,19 @@ class TestSolutionQuality:
         redundant = LpProblem(objective=[1.0, 2.0, 0.5],
                               eq_lhs=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]], eq_rhs=[1.0, 2.0],
                               ub_lhs=[[0.0, 1.0, 1.0]], ub_rhs=[3.0])
-        for solver, prob in [(solve_via_dual, redundant)] + both_routes(rng, 25):
-            sol = solver(prob)
+        for prob in [redundant] + random_programs(rng, 25):
+            sol = solve(prob)
             assert sol.optimal
             assert sol.value == pytest.approx(highs(prob).fun, abs=1e-8)
             x = sol.x
             if prob.eq_lhs is not None:
                 assert np.max(np.abs(prob.eq_lhs @ x - prob.eq_rhs)) <= 1e-9
             assert np.max(prob.ub_lhs @ x - prob.ub_rhs) <= 1e-9
-            assert np.min(x) >= X_FLOOR[solver]
+            # x is read off reduced costs, which the recovery check holds to
+            # -FEAS_TOL; the basic values, -duals_ub here, off the tableau's
+            # right-hand sides
+            assert np.min(x) >= -lp.FEAS_TOL
+            assert np.max(sol.duals_ub) <= 1e-12
             # strong duality from the row prices; every row block has its prices
             dual_val = float(sol.duals_ub @ prob.ub_rhs)
             if prob.eq_lhs is not None:
@@ -234,8 +239,8 @@ class TestSolutionQuality:
             assert dual_val == pytest.approx(sol.value, abs=1e-8)
 
     def test_complementary_slackness(self, rng):
-        for solver, prob in both_routes(rng, 15):
-            sol = solver(prob)
+        for prob in random_programs(rng, 15):
+            sol = solve(prob)
             assert sol.optimal
             slack = prob.ub_rhs - prob.ub_lhs @ sol.x
             # inactive rows carry no price; priced rows are tight
@@ -247,50 +252,41 @@ class TestSolutionQuality:
             assert np.min(prob.objective - y_terms) > -1e-7
 
     def test_determinism(self, rng):
-        for solver, prob in both_routes(rng, 1):
-            a = solver(prob)
-            b = solver(prob)
+        for prob in random_programs(rng, 1):
+            a = solve(prob)
+            b = solve(prob)
             assert a.iterations == b.iterations
             assert a.value == b.value
             assert np.array_equal(a.x, b.x)
 
 
-def dual_solve_peak(monkeypatch, problem: LpProblem) -> float:
-    """The ``tracemalloc`` peak of the one ``lp.solve`` that ``solve_via_dual``
-    makes for ``problem``, over the bytes of that solve's tableau."""
-    peaks = []
-    direct = lp.solve
-
-    def traced(prob):
-        tracemalloc.start()
-        try:
-            sol = direct(prob)
-            peaks.append((prob, tracemalloc.get_traced_memory()[1]))
-        finally:
-            tracemalloc.stop()
-        return sol
-
-    monkeypatch.setattr(lp, "solve", traced)
-    assert solve_via_dual(problem).optimal
-    assert len(peaks) == 1  # the dual route, no primal fallback
-    dual, peak = peaks[0]
-    # <= rows with nonnegative rhs: slacks only, no artificials
-    assert dual.eq_lhs is None and np.all(dual.ub_rhs >= 0)
-    rows, cols = dual.ub_lhs.shape
-    return peak / (rows * (cols + rows + 1) * 8)
+def solve_peak(problem: LpProblem) -> float:
+    """The ``tracemalloc`` peak of the whole ``lp.solve(problem)``, the
+    program built beforehand, over the bytes of its dual's tableau: a row per
+    variable, and a column per equality twice, per ``<=`` row, per variable
+    (the slacks) and the right-hand side."""
+    tracemalloc.start()
+    try:
+        assert solve(problem).optimal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, m_eq, m_ub = problem.n_vars, problem.eq_rhs.size, problem.ub_rhs.size
+    return peak / (n * (2 * m_eq + m_ub + n + 1) * 8)
 
 
 class TestMemory:
-    def test_tableau_built_in_one_allocation(self, monkeypatch):
+    def test_tableau_built_in_one_allocation(self):
         # the P1 dual at (7,4): a 133 x 1,248 tableau, so the pivots' blocks
         # of temporaries are a visible share of it
-        ratio = dual_solve_peak(monkeypatch, full_epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56)))
+        ratio = solve_peak(full_epigraph_problem(Instance.from_zipf(7, 4, 1.0, 0.56)))
         assert ratio <= 2.5, f"peak {ratio:.2f}x the tableau"
 
-    def test_pivots_make_no_tableau_sized_temporary(self, monkeypatch):
+    def test_pivots_make_no_tableau_sized_temporary(self):
         # the P1 dual at (9,4), a 300 x 3,929 tableau: a dense rank-1 update
-        # per pivot peaks at about 2x the tableau, the blocked one near 1.07x
-        ratio = dual_solve_peak(monkeypatch, full_epigraph_problem(Instance.from_zipf(9, 4, 2.25, 0.56)))
+        # per pivot peaks at about 2x the tableau, the blocked one near 1.07x,
+        # and a transposed copy of the program held beside it at about 1.9x
+        ratio = solve_peak(full_epigraph_problem(Instance.from_zipf(9, 4, 2.25, 0.56)))
         assert ratio <= 1.25, f"peak {ratio:.2f}x the tableau"
 
     def test_guard_sizes_the_tableau_it_protects(self, monkeypatch):
@@ -352,17 +348,17 @@ def zero_rhs_problem(seed: int, n: int, m: int) -> LpProblem:
                      ub_lhs=np.vstack([lhs, np.ones((1, n))]), ub_rhs=np.append(np.zeros(m), 1.0))
 
 
-def lp_programs(solver, inst: Instance, name: str = "solve"):
-    """``solver(inst)`` and the programs it hands to ``lp.<name>``, in call
-    order (to ``lp.solve``, the explicit duals of its placement programs)."""
-    programs, direct = [], getattr(lp, name)
+def lp_programs(solver, inst: Instance):
+    """``solver(inst)`` and the placement programs it hands to ``lp.solve``,
+    in call order."""
+    programs, direct = [], lp.solve
 
     def record(problem):
         programs.append(problem)
         return direct(problem)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, name, record)
+        mp.setattr(lp, "solve", record)
         opt = solver(inst)
     return opt, programs
 
@@ -406,8 +402,8 @@ class TestBlockedPivot:
     def test_random_programs(self, seed, n, m_ub, density, bounded):
         # sparse integer <= rows scaled by a random factor, right-hand sides in
         # 0..3 (degenerate vertices where they are 0) and objectives of either
-        # sign; unbounded without the bounding row (one example reaches each
-        # status)
+        # sign, through the twin; unbounded without the bounding row (one
+        # example reaches each status)
         rng = np.random.default_rng(seed)
         lhs = rng.integers(-3, 4, (m_ub, n)) * (rng.random((m_ub, n)) < density)
         rhs = rng.integers(0, 4, m_ub)
@@ -415,14 +411,14 @@ class TestBlockedPivot:
             lhs, rhs = np.vstack([lhs, np.ones(n)]), np.r_[rhs, 3 * n]
         scale = rng.uniform(0.5, 2.0, len(rhs))
         lhs, rhs = lhs * scale[:, None], rhs * scale
-        assert_same_as_dense(LpProblem(objective=rng.integers(-3, 4, n).astype(float),
-                                       ub_lhs=lhs if len(rhs) else None,
-                                       ub_rhs=rhs if len(rhs) else None))
+        assert_same_as_dense(kernel_twin(LpProblem(objective=rng.integers(-3, 4, n).astype(float),
+                                                   ub_lhs=lhs if len(rhs) else None,
+                                                   ub_rhs=rhs if len(rhs) else None)))
 
     @pytest.mark.parametrize("problem", [KUHN, zero_rhs_problem(3, 60, 240)], ids=["kuhn", "zero-rhs"])
     def test_degenerate_programs_reach_bland(self, problem):
         # the pivot after DEGENERATE_STALL degenerate ones is Bland's
-        assert assert_same_as_dense(problem) > lp.DEGENERATE_STALL
+        assert assert_same_as_dense(kernel_twin(problem)) > lp.DEGENERATE_STALL
 
     @pytest.mark.parametrize("solver, inst", [
         (lower_bound_p1, Instance.from_zipf(7, 4, 2.0, 0.56)),
@@ -503,7 +499,7 @@ class TestSquarePrograms:
                 p[n - n // 3:] = 0.0  # files nobody requests
         inst = Instance(n, k, cache_frac * n, p / p.sum())
         for solver in (lower_bound_p2, solve_p3_lp, lambda i: solve_p3_lp(i, scheme="ccs")):
-            opt, [problem] = lp_programs(solver, inst, "solve_via_dual")
+            opt, [problem] = lp_programs(solver, inst)
             ref = linprog(problem.objective, A_ub=problem.ub_lhs, b_ub=problem.ub_rhs,
                           A_eq=problem.eq_lhs, b_eq=problem.eq_rhs, bounds=(0, None),
                           method="highs", options={"primal_feasibility_tolerance": 1e-10,

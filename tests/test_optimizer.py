@@ -535,9 +535,9 @@ class TestBoundRateChain:
 
 class TestPlacementLpsChecked:
     def test_infeasible_solver_answer_raises(self, monkeypatch):
-        # a point that passed solve_via_dual's residual check and then went
+        # a point that passed lp.solve's residual check and then went
         # wrong is still refused by the placement check
-        original = lp.solve_via_dual
+        original = lp.solve
 
         def perturbed(problem):
             sol = original(problem)
@@ -545,7 +545,7 @@ class TestPlacementLpsChecked:
             x[0] += 1e-6  # file 1's server share: its partition row now sums to 1 + 1e-6
             return dataclasses.replace(sol, x=x)
 
-        monkeypatch.setattr(lp, "solve_via_dual", perturbed)
+        monkeypatch.setattr(lp, "solve", perturbed)
         inst = Instance.from_zipf(5, 3, 1.5, 0.56)
         with pytest.raises(RuntimeError, match="partition.*this is a bug"):
             lower_bound_p2(inst)
